@@ -20,7 +20,7 @@ import numpy as np
 from .integrate import OdeTol, integrate_adaptive
 from .lindblad import LiouvillianSpec, matrix_rhs
 from .qops import unfold
-from .solver import RateTermSet, _make_rhs, _max_step_abs, _to_lab
+from .solver import RateTermSet, _propagate
 
 __all__ = [
     "NessResult",
@@ -49,17 +49,18 @@ def rwa_steady_state(rabi, detuning, gamma):
 class FlimePropagator:
     """Period-by-period propagation bound to a rate-term set and basis.
 
-    The internal state is the interaction-picture supervector, carried
-    across periods without re-transformation.
+    The internal state is the rotated-frame supervector at a whole period
+    (see ``solver._propagate``), in which the propagator is T-periodic.  The
+    first call of :meth:`cycle` builds the lab-frame maps at ``taus`` and the
+    one-period map P from one period of integration; each call then costs a
+    few small matrix products.
     """
 
     def __init__(self, rates, basis, tol=None):
         self.rates = rates
         self.basis = basis
         self.tol = tol if tol is not None else OdeTol()
-        self._rhs = _make_rhs(rates, basis)
-        self._max_step = _max_step_abs(self.tol, basis.period, rates.deltas.size > 0)
-        self._h_prev = None
+        self._taus = None
 
     @property
     def period(self):
@@ -71,16 +72,16 @@ class FlimePropagator:
 
     def cycle(self, state, n, taus):
         """Propagate over period ``n``; returns lab states at n*T + taus and
-        the internal state at (n+1)*T."""
-        t0 = n * self.period
-        t_out = np.append(t0 + np.asarray(taus, dtype=float), t0 + self.period)
-        vecs, stats = integrate_adaptive(
-            self._rhs, t0, state, t_out,
-            rtol=self.tol.rtol, atol=self.tol.atol,
-            max_step=self._max_step, first_step=self._h_prev)
-        self._h_prev = stats.last_step or None
-        states, _ = _to_lab(self.basis, t_out[:-1], vecs[:-1])
-        return states, vecs[-1]
+        the internal state at (n+1)*T.  The maps do not depend on ``n``."""
+        taus = np.asarray(taus, dtype=float)
+        if self._taus is None or not np.array_equal(taus, self._taus):
+            n2 = self.basis.dim ** 2
+            lab, images, _ = _propagate(self.rates, self.basis, np.eye(n2, dtype=complex),
+                                        np.append(taus, self.period), self.tol)
+            self._taus = taus.copy()
+            self._lab_maps = lab[:-1]
+            self._period_map = images[-1]
+        return self._lab_maps @ state, self._period_map @ state
 
 
 class ReferencePropagator:
@@ -202,11 +203,8 @@ def correlation_g1(system, ness_state, lower_op, tau_grid, tol=None):
         rates, basis = system
         modes0 = basis.modes0
         v0 = unfold(modes0.conj().T @ perturbed @ modes0)
-        rhs = _make_rhs(rates, basis)
-        max_step = _max_step_abs(tol, basis.period, rates.deltas.size > 0)
-        vecs, _ = integrate_adaptive(rhs, 0.0, v0, tau_grid,
-                                     rtol=tol.rtol, atol=tol.atol, max_step=max_step)
-        mats, _ = _to_lab(basis, tau_grid, vecs)
+        lab, _, _ = _propagate(rates, basis, v0[:, None], tau_grid, tol)
+        mats = lab[..., 0]
     else:
         raise TypeError("system must be a LiouvillianSpec or a (RateTermSet, FloquetBasis) pair")
 

@@ -505,8 +505,10 @@ def cmd_bench(config, outdir):
           "and reported for information only")
     _write_metadata(Path(outdir) / "metadata.json", config, {
         "bench": {"repeats": repeats, "periods": list(periods),
-                  "note": "solution time excludes setup and reconstruction; "
-                          "total includes basis setup, term building and output"}})
+                  "note": "solution time excludes setup; for flime it is the one-period "
+                          "integration, the period jumps and the lab-frame reconstruction, "
+                          "for the reference the full-span integration; total includes "
+                          "basis setup, term building and output"}})
     return 0
 
 

@@ -111,6 +111,8 @@ class PeriodicHamiltonian:
     static_part: np.ndarray
     terms: tuple = ()
     _harmonics: dict = field(init=False, repr=False, compare=False)
+    _freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= 0.0:
@@ -140,6 +142,11 @@ class PeriodicHamiltonian:
                 raise ValueError(
                     f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
         object.__setattr__(self, "_harmonics", harmonics)
+        # H(t) = exp(1j * t * freqs) . stack, with the static part as the
+        # frequency-zero row, so one product per call
+        object.__setattr__(self, "_freqs", self.omega * np.array([0, *harmonics], dtype=float))
+        object.__setattr__(self, "_stack", np.array(
+            [static.ravel(), *(agg.ravel() for agg in harmonics.values())]))
 
     @property
     def dim(self):
@@ -151,10 +158,7 @@ class PeriodicHamiltonian:
 
     def __call__(self, t):
         """Evaluate H(t)."""
-        h = self.static_part.copy()
-        for k, agg in self._harmonics.items():
-            h += np.exp(1j * k * self.omega * t) * agg
-        return h
+        return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(self.dim, self.dim)
 
     def harmonic_matrix(self, k):
         """Aggregated coefficient matrix of exp(1j*k*omega*t), zero if absent."""

@@ -116,7 +116,7 @@ def evolve_direct(spec, rho0, times, tol=None):
         rhs_evals=stats.rhs_evals,
         solution_time_s=solution_time,
         max_trace_defect=float(np.max(np.abs(traces - 1.0))),
-        max_hermiticity_defect=float(max(hermiticity_defect(s) for s in states)),
+        max_hermiticity_defect=hermiticity_defect(states),
     )
     result = EvolutionResult(times=times, states=states, diagnostics=diag)
     diag.total_time_s = _time.perf_counter() - t_start

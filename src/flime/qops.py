@@ -110,9 +110,10 @@ def trace_distance(a, b):
 
 
 def hermiticity_defect(m):
-    """Largest elementwise deviation from Hermiticity, max |m - m^dag|."""
+    """Largest elementwise deviation from Hermiticity, max |m - m^dag|, over
+    a matrix or a stack of matrices (last two axes)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)))) if m.size else 0.0
 
 
 def unitarity_defect(u):

@@ -17,7 +17,9 @@ States are propagated in the Floquet interaction picture (time-dependent
 basis of Floquet states), where the coherent evolution is carried entirely
 by the basis: the generator is the pure dissipator, and lab-frame states are
 reconstructed as ``W(t) rho W(t)^dag`` with ``W(t)`` the Floquet state
-matrix.  This makes the closed-system limit exact by construction.
+matrix.  This makes the closed-system limit exact by construction.  Rotated
+by the quasienergy phases, the generator is exactly T-periodic, so long
+evolutions integrate one period and then jump whole periods.
 """
 
 import time as _time
@@ -44,6 +46,9 @@ __all__ = [
 
 _SECULAR_REL_TOL = 1e-12
 _GROUP_REL_TOL = 1e-12
+# Output times whose phases t mod T differ by at most this many ulps of the
+# largest t / T share one phase of the one-period map.
+_PHASE_ULPS = 64
 # Largest total element count for densely stored frequency groups; beyond
 # this only the complete (no filtering) factored evaluation is available.
 _DENSE_LIMIT = 2_000_000
@@ -360,18 +365,21 @@ def dissipator_bruteforce(basis, channels, rho, t, k_max=20):
 
 
 def _make_rhs(rates, basis):
-    """Right-hand side closure for dv/dt = R(t) v."""
+    """Right-hand side closure for dv/dt = R(t) v.
+
+    ``v`` is a flattened ``(n^2, B)`` block, so one call advances B
+    supervectors at once.
+    """
     static = rates.static_part
     n = rates.dim
+    nn = n * n
     if rates._dense is not None and rates.deltas.size:
         deltas = rates.deltas
-        groups = rates._dense.reshape(deltas.size * n * n, n * n)
-        n_groups = deltas.size
+        groups = rates._dense.reshape(deltas.size, nn * nn)
 
         def rhs(t, v):
-            out = static @ v
-            out += np.exp(1j * deltas * t) @ (groups @ v).reshape(n_groups, n * n)
-            return out
+            r = static + (np.exp(1j * deltas * t) @ groups).reshape(nn, nn)
+            return (r @ v.reshape(nn, -1)).ravel()
 
     elif rates._factored is not None:
         # Complete set: the tuple sum factorizes into single Lindblad
@@ -382,33 +390,100 @@ def _make_rhs(rates, basis):
         items = rates._factored
 
         def rhs(t, v):
-            rho = v.reshape(n, n).T
+            rho = v.reshape(n, n, -1).transpose(2, 1, 0)
             kph = np.exp(1j * ks * omega * t)
             eph = np.exp(1j * eps * t)
-            out = np.zeros((n, n), dtype=complex)
+            out = np.zeros_like(rho)
             for rate, coeffs in items:
                 s = (coeffs @ kph) * np.outer(eph, eph.conj())
                 sds = s.conj().T @ s
                 out += rate * (s @ rho @ s.conj().T - 0.5 * (sds @ rho + rho @ sds))
-            return out.T.ravel()
+            return out.transpose(2, 1, 0).ravel()
 
     else:
 
         def rhs(t, v):
-            return static @ v
+            return (static @ v.reshape(nn, -1)).ravel()
 
     return rhs
 
 
-def _to_lab(basis, times, floquet_supervectors):
-    """Rotate interaction-picture supervectors back to lab-frame matrices."""
+def _split_phases(times, period):
+    """Split each time into whole periods and a phase: t = j*T + phases[index].
+
+    Phases closer than a few ulps of the largest time are one phase, and a
+    phase that close below T is phase 0 of the next period, so a grid whose
+    step divides the period yields exactly as many phases as steps per period.
+    """
+    x = np.asarray(times, dtype=float) / period
+    tol = _PHASE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(x)))
+    periods = np.floor(x)
+    frac = x - periods
+    wrap = frac >= 1.0 - tol
+    periods[wrap] += 1.0
+    frac[wrap] = 0.0
+    order = np.argsort(frac, kind="stable")
+    new_phase = np.diff(frac[order]) > tol
+    index = np.empty(x.size, dtype=int)
+    index[order] = np.concatenate(([0], np.cumsum(new_phase)))
+    phases = frac[order][np.concatenate(([True], new_phase))] * period
+    return periods.astype(int), phases, index
+
+
+def _propagate(rates, basis, block, times, tol):
+    """Propagate a block of Floquet-picture supervectors by the one-period map.
+
+    In the rotated frame rho~[a, b] = exp(-1j*(eps_a - eps_b)*t) rho_F[a, b]
+    every kept rate tuple oscillates at (k - k') * omega only, so the frame's
+    propagator is T-periodic: Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j.  One
+    period of the n^2 x n^2 identity is integrated, stopping at each distinct
+    phase tau; later periods follow by powers of P = Phi~(T).  When every time
+    lies in the first period the block itself is integrated instead.
+
+    ``block`` has shape (n^2, B) and holds supervectors at t = 0, where both
+    frames agree.  Returns ``(lab, images, stats)``: the lab-frame matrices
+    M(tau) rho~ M(tau)^dag of each column, shape (len(times), n, n, B), the
+    rotated-frame supervectors, shape (len(times), n^2, B), and the
+    integrator statistics of the one-period integration.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0.0):
+        raise ValueError("output times must be nonnegative")
+    period = basis.period
     n = basis.dim
-    rho_f = floquet_supervectors.reshape(-1, n, n).transpose(0, 2, 1)
-    modes = basis.modes_at_many(times)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), basis.quasienergies))
-    w = modes * phases[:, None, :]
-    states = np.einsum("tij,tjk,tlk->til", w, rho_f, w.conj())
-    return states, rho_f
+    nn = n * n
+    periods, phases, index = _split_phases(times, period)
+    jumps = periods.max() > 0
+    y0 = np.eye(nn, dtype=complex) if jumps else block
+    t_out = np.append(phases, period) if jumps else phases
+    max_step = _max_step_abs(tol, period, rates.deltas.size > 0)
+    flat, stats = integrate_adaptive(_make_rhs(rates, basis), 0.0, y0.ravel(), t_out,
+                                     rtol=tol.rtol, atol=tol.atol, max_step=max_step)
+    eps = basis.quasienergies
+    gaps = np.subtract.outer(eps, eps).ravel(order="F")
+    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, gaps))[:, :, None]
+
+    if jumps:
+        pmap = maps[-1]
+        needed, slot = np.unique(periods, return_inverse=True)
+        powers = np.empty((needed.size,) + block.shape, dtype=complex)
+        w, j = block, 0
+        for k, target in enumerate(needed):
+            for _ in range(target - j):
+                w = pmap @ w
+            j = target
+            powers[k] = w
+        images = np.empty((times.size,) + block.shape, dtype=complex)
+        by_phase = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
+        for p, sel in enumerate(by_phase):
+            images[sel] = maps[p] @ powers[slot[sel]]
+    else:
+        images = maps[index]
+
+    modes = basis.modes_at_many(phases)[index]
+    rho = images.reshape(times.size, n, n, -1)
+    lab = np.einsum("tai,tmic,tdm->tadc", modes, rho, modes.conj(), optimize=True)
+    return lab, images, stats
 
 
 @dataclass(eq=False)
@@ -456,9 +531,10 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
     """Propagate a lab-frame density matrix under the decomposed rate matrix.
 
     ``rho0`` is the state at t = 0; it is rotated into the Floquet mode
-    basis, the supervector ODE is integrated with outputs exactly at
+    basis and propagated by the one-period map (see :func:`_propagate`) to
     ``times`` (strictly increasing, nonnegative), and lab-frame states are
-    reconstructed with the Floquet state matrix.
+    reconstructed with the Floquet mode matrix.  The step and RHS counts in
+    the diagnostics are those of the one-period integration.
     """
     t_start = _time.perf_counter()
     if tol is None:
@@ -473,15 +549,17 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
         raise ValueError(f"state dim {rho0.shape[0]} does not match basis dim {basis.dim}")
 
     v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
-    rhs = _make_rhs(rates, basis)
-    max_step = _max_step_abs(tol, basis.period, rates.deltas.size > 0)
-
     t_solve = _time.perf_counter()
-    vecs, stats = integrate_adaptive(rhs, 0.0, v0, times,
-                                     rtol=tol.rtol, atol=tol.atol, max_step=max_step)
+    lab, images, stats = _propagate(rates, basis, v0[:, None], times, tol)
     solution_time = _time.perf_counter() - t_solve
 
-    states, rho_f = _to_lab(basis, times, vecs)
+    states = lab[..., 0]
+    rho_f = None
+    if store_floquet:
+        n = basis.dim
+        eps = basis.quasienergies
+        rho_f = (images[:, :, 0].reshape(-1, n, n).transpose(0, 2, 1)
+                 * np.exp(1j * times[:, None, None] * np.subtract.outer(eps, eps)))
     traces = np.einsum("tii->t", states)
     diag = Diagnostics(
         term_count_static=rates.kept_static,
@@ -495,11 +573,8 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
         solution_time_s=solution_time,
         total_time_s=0.0,
         max_trace_defect=float(np.max(np.abs(traces - 1.0))),
-        max_hermiticity_defect=float(max(hermiticity_defect(s) for s in states)),
+        max_hermiticity_defect=hermiticity_defect(states),
     )
-    result = EvolutionResult(
-        times=times, states=states, diagnostics=diag,
-        floquet_states=rho_f if store_floquet else None,
-    )
+    result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
     diag.total_time_s = _time.perf_counter() - t_start
     return result

@@ -48,6 +48,19 @@ class TestPeriodicHamiltonian:
         h = PeriodicHamiltonian(2.0, static)
         for t in rng.uniform(0, 10, 5):
             assert np.array_equal(h(t), static)
+        assert h(0.0) is not h.static_part
+
+    def test_matches_term_by_term_sum(self, rng):
+        # repeated harmonics are aggregated once at construction
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        extra = HarmonicTerm(0.2 * np.array([[0.0, 1.0], [0.0, 0.0]]), 3, 1.0 + 0.5j)
+        h = PeriodicHamiltonian(h.omega, h.static_part,
+                                h.terms + (extra, HarmonicTerm(extra.matrix.conj().T, -3, 1.0 - 0.5j)))
+        for t in rng.uniform(0, 3, 7):
+            loop = h.static_part.copy()
+            for term in h.terms:
+                loop += term.amplitude * np.exp(1j * term.harmonic * h.omega * t) * term.matrix
+            assert np.max(np.abs(h(t) - loop)) < 1e-13
 
     def test_periodicity(self, rng):
         h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, 0.8, 0.8)
