@@ -23,9 +23,9 @@ from .hamiltonians import (DEFAULT_TIME_UNIT, HarmonicTerm, PeriodicHamiltonian,
 from .integrate import IntegrationError, IntegratorStats, OdeTol, integrate_adaptive
 from .lindblad import LiouvillianSpec, evolve_direct, liouvillian_at
 from .qops import (check_density_matrix, expect, fold, hermiticity_defect,
-                   is_hermitian, is_unitary, ket, pure_state_density,
-                   sandwich_superop, sigma_minus, sigma_plus, sigma_x, sigma_y,
-                   sigma_z, trace_distance, unfold, unitarity_defect)
+                   pure_state_density, sandwich_superop, sigma_minus, sigma_plus,
+                   sigma_x, sigma_y, sigma_z, trace_distance, unfold,
+                   unitarity_defect)
 from .solver import (CollapseChannel, Diagnostics, EvolutionResult, RateTerm,
                      RateTermSet, assemble, build_terms, dissipator_bruteforce,
                      enumerate_terms, evolve)
@@ -34,8 +34,8 @@ __all__ = [
     "__version__",
     # qops
     "unfold", "fold", "sandwich_superop", "expect", "trace_distance",
-    "hermiticity_defect", "unitarity_defect", "is_hermitian", "is_unitary",
-    "check_density_matrix", "pure_state_density", "ket",
+    "hermiticity_defect", "unitarity_defect",
+    "check_density_matrix", "pure_state_density",
     "sigma_x", "sigma_y", "sigma_z", "sigma_minus", "sigma_plus",
     # hamiltonians
     "HarmonicTerm", "PeriodicHamiltonian", "TimeUnit", "DEFAULT_TIME_UNIT",

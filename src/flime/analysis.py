@@ -222,13 +222,37 @@ class SpectrumResult:
     window: str
 
 
+def _chirp_z(x, t0, dt, w0, dw, m):
+    """sum_j x_j exp(1j*w_k*t_j) for w_k = w0 + k*dw (k < m), t_j = t0 + j*dt.
+
+    Bluestein's chirp-z transform: with a = dw*dt/2, k*j = (k^2 + j^2 - (k-j)^2)/2
+    turns the sum into a pre-chirp in j, a convolution with the chirp
+    exp(-1j*a*l^2) over lags l = k - j, done by FFTs of a power-of-two length,
+    and a post-chirp in k.  Squares are exact integers before scaling by a.
+    """
+    j = np.arange(x.size)
+    k = np.arange(m)
+    lags = np.arange(1 - x.size, m)
+    a = 0.5 * dw * dt
+    n_fft = 1 << (m + x.size - 2).bit_length()
+    pre = np.zeros(n_fft, dtype=complex)
+    pre[:x.size] = x * np.exp(1j * (w0 * dt * j + a * (j * j)))
+    chirp = np.zeros(n_fft, dtype=complex)
+    chirp[lags] = np.exp(-1j * a * (lags * lags))  # negative lags wrap to the end
+    conv = np.fft.ifft(np.fft.fft(pre) * np.fft.fft(chirp))[:m]
+    return conv * np.exp(1j * (t0 * (w0 + dw * k) + a * (k * k)))
+
+
 def spectrum(g1, tau_grid, window="hann", detunings=None):
     """Emission spectrum S(dw) = Re sum_j g1(tau_j) w_j exp(1j*dw*tau_j) dtau.
 
-    ``tau_grid`` must be uniform.  The Hann window (default) suppresses
-    truncation ringing that would mimic sidebands; "rect" disables
-    apodization.  Without an explicit ``detunings`` grid, a symmetric grid
-    of 4x the tau resolution spanning (-pi/dtau, pi/dtau) is used.
+    ``tau_grid`` and ``detunings`` must both be uniform (``detunings`` may
+    descend or hold one point), so the sum is a chirp-z transform: for M
+    detunings and J taus it costs O((M+J) log(M+J)) time and O(M+J) memory,
+    with no M x J kernel.  The Hann window (default) suppresses truncation
+    ringing that would mimic sidebands; "rect" disables apodization.
+    Without an explicit ``detunings`` grid, a symmetric grid of 4x the tau
+    resolution spanning (-pi/dtau, pi/dtau) is used.
     """
     g1 = np.asarray(g1, dtype=complex)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -252,9 +276,14 @@ def spectrum(g1, tau_grid, window="hann", detunings=None):
         detunings = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_freq, d=dtau))
     else:
         detunings = np.asarray(detunings, dtype=float)
+        if detunings.ndim != 1 or detunings.size == 0:
+            raise ValueError("detunings must be a non-empty 1-D grid")
+    m = detunings.size
+    dw = (detunings[-1] - detunings[0]) / max(m - 1, 1)
+    if np.max(np.abs(np.diff(detunings) - dw), initial=0.0) > 1e-9 * abs(dw):
+        raise ValueError("detunings must be uniform")
 
-    kernel = np.exp(1j * np.outer(detunings, tau_grid))
-    intensities = (kernel @ (g1 * w)).real * dtau
+    intensities = _chirp_z(g1 * w, tau_grid[0], dtau, detunings[0], dw, m).real * dtau
     return SpectrumResult(
         detunings=detunings,
         intensities=intensities,

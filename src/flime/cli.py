@@ -79,6 +79,11 @@ def _check_keys(section, allowed, where):
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
+def _is_real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def _number(value, unit, where):
     """A config number, optionally tagged: {"value": x, "unit": "GHz"}."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -214,6 +219,14 @@ class RunConfig:
         spec_raw = raw.get("spectrum", {})
         _check_keys(spec_raw, {"tau_max", "n_tau", "window", "n_freq", "resolution"},
                     "spectrum")
+        for key in ("tau_max", "resolution"):
+            if key in spec_raw and not (_is_real(spec_raw[key]) and spec_raw[key] > 0):
+                raise ConfigError(
+                    f"spectrum.{key} must be a positive number, got {spec_raw[key]!r}")
+        for key, least in (("n_tau", 2), ("n_freq", 1)):
+            value = spec_raw.get(key, least)
+            if not (_is_real(value) and value == int(value) and value >= least):
+                raise ConfigError(f"spectrum.{key} must be an integer >= {least}, got {value!r}")
         self.spectrum = spec_raw
 
         bench = raw.get("bench", {})

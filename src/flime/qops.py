@@ -14,7 +14,6 @@ __all__ = [
     "sigma_z",
     "sigma_minus",
     "sigma_plus",
-    "ket",
     "pure_state_density",
     "unfold",
     "fold",
@@ -23,8 +22,6 @@ __all__ = [
     "trace_distance",
     "hermiticity_defect",
     "unitarity_defect",
-    "is_hermitian",
-    "is_unitary",
     "check_density_matrix",
 ]
 
@@ -42,15 +39,6 @@ sigma_y = _frozen([[0.0, -1.0j], [1.0j, 0.0]])
 sigma_z = _frozen([[-1.0, 0.0], [0.0, 1.0]])
 sigma_minus = _frozen([[0.0, 1.0], [0.0, 0.0]])
 sigma_plus = _frozen([[0.0, 0.0], [1.0, 0.0]])
-
-
-def ket(index, dim):
-    """Canonical basis column vector |index> of dimension ``dim``."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def pure_state_density(psi):
@@ -120,14 +108,6 @@ def unitarity_defect(u):
     """max |u^dag u - 1|."""
     u = np.asarray(u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-
-
-def is_hermitian(m, tol=1e-12):
-    return hermiticity_defect(m) <= tol
-
-
-def is_unitary(u, tol=1e-9):
-    return unitarity_defect(u) <= tol
 
 
 def check_density_matrix(rho, trace_tol=1e-9, herm_tol=1e-12):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,70 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="uniform"):
             spectrum(np.zeros(3, dtype=complex), [0.0, 0.1, 0.3])
 
+    def test_rejects_empty_detunings(self):
+        with pytest.raises(ValueError, match="detunings"):
+            spectrum(np.zeros(3, dtype=complex), [0.0, 0.1, 0.2], detunings=[])
+
+    def test_rejects_nonuniform_detunings(self):
+        with pytest.raises(ValueError, match="detunings"):
+            spectrum(np.zeros(3, dtype=complex), [0.0, 0.1, 0.2],
+                     detunings=[-1.0, 0.0, 1.5])
+
     def test_rejects_unknown_window(self):
         with pytest.raises(ValueError, match="window"):
             spectrum(np.zeros(3, dtype=complex), [0.0, 0.1, 0.2], window="hamming")
+
+
+def _dense_spectrum(g1, taus, window, detunings):
+    """The transform as a direct sum over a detunings x taus kernel."""
+    w = (0.5 * (1.0 + np.cos(np.pi * (taus - taus[0]) / (taus[-1] - taus[0])))
+         if window == "hann" else np.ones_like(taus))
+    kernel = np.exp(1j * np.outer(detunings, taus))
+    return (kernel @ (g1 * w)).real * (taus[1] - taus[0])
+
+
+def _test_g1(taus):
+    rng = np.random.default_rng(3)
+    noise = 1e-3 * (rng.normal(size=taus.size) + 1j * rng.normal(size=taus.size))
+    return (0.3 * np.exp((2.0j - 0.5) * taus) + 0.2 * np.exp((-20.0j - 0.7) * taus)
+            + noise)
+
+
+_TAUS = np.linspace(0.0, 60.0, 2048)
+
+
+class TestSpectrumAgainstDenseSum:
+    @pytest.mark.parametrize("taus, window, detunings", [
+        pytest.param(_TAUS, "hann", None, id="default-grid-hann"),
+        pytest.param(_TAUS, "rect", None, id="default-grid-rect"),
+        pytest.param(1.3 + 0.05 * np.arange(1000), "hann", np.linspace(-10.0, 10.0, 333),
+                     id="tau0-nonzero"),
+        pytest.param(1.3 + 0.05 * np.arange(1000), "rect", np.linspace(-10.0, 10.0, 333),
+                     id="tau0-nonzero-rect"),
+        pytest.param(_TAUS, "hann", np.linspace(30.0, -30.0, 1001), id="descending"),
+        pytest.param(_TAUS, "hann", np.array([2.0]), id="one-point"),
+        pytest.param(np.linspace(0.0, 60.0, 1201), "hann",
+                     np.arange(-30.0, 30.0 + 0.0625, 0.125), id="criterion-08-mollow"),
+        pytest.param(np.linspace(0.0, 60.0, 1501), "hann",
+                     np.arange(-45.0, 45.0001, 0.0625), id="criterion-08-bichromatic"),
+    ])
+    def test_agrees_with_dense_sum(self, taus, window, detunings):
+        g1 = _test_g1(taus)
+        res = spectrum(g1, taus, window=window, detunings=detunings)
+        if detunings is not None:
+            assert np.array_equal(res.detunings, detunings)
+        dense = _dense_spectrum(g1, taus, window, res.detunings)
+        scale = np.max(np.abs(dense))
+        assert scale > 0.0
+        assert np.max(np.abs(res.intensities - dense)) <= 1e-10 * scale
+
+    def test_memory_stays_linear_in_grid(self):
+        g1 = _test_g1(_TAUS)
+        tracemalloc.start()
+        try:
+            spectrum(g1, _TAUS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense 8192 x 2048 kernel alone would be 268 MB
+        assert peak < 10e6

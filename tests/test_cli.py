@@ -117,6 +117,17 @@ class TestConfigValidation:
         cfg = _write_config(tmp_path, _base_config(solver="both"))
         assert main(["ness", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", 0), ("resolution", -0.25), ("n_freq", 0), ("n_freq", -8),
+        ("n_tau", 1), ("tau_max", 0.0), ("tau_max", -40.0),
+    ])
+    def test_bad_spectrum_grid_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = _write_config(tmp_path, _base_config(solver="reference",
+                                                   spectrum={key: value}))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"spectrum.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestNessCommand:
     def test_cycle_csv_and_metadata(self, tmp_path):
