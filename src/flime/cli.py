@@ -38,6 +38,7 @@ class ConfigError(ValueError):
 
 _SYSTEM_KINDS = ("driven_2ls_rwa", "driven_2ls_full", "bichromatic", "pulse_train")
 _SOLVERS = ("flime", "reference", "both")
+_WINDOWS = ("hann", "rect")
 
 _CHANNEL_OPERATORS = {
     "sigma_minus": sigma_minus,
@@ -67,7 +68,7 @@ _SYSTEM_KEYS = {
 
 _TOP_KEYS = {
     "system", "unit", "channels", "solver", "secular_cutoff", "k_max",
-    "n_samples", "evolution", "tolerances", "outputs", "seed",
+    "n_samples", "evolution", "tolerances", "outputs",
     "initial_state", "ness", "spectrum", "bench",
 }
 
@@ -209,8 +210,6 @@ class RunConfig:
         if self.initial_state not in ("ground", "excited", "superposition"):
             raise ConfigError("initial_state must be 'ground', 'excited' or 'superposition'")
 
-        self.seed = int(raw.get("seed", 0))
-
         ness = raw.get("ness", {})
         _check_keys(ness, {"conv_tol", "max_periods", "samples_per_period", "observable"},
                     "ness")
@@ -227,6 +226,9 @@ class RunConfig:
             value = spec_raw.get(key, least)
             if not (_is_real(value) and value == int(value) and value >= least):
                 raise ConfigError(f"spectrum.{key} must be an integer >= {least}, got {value!r}")
+        if spec_raw.get("window", "hann") not in _WINDOWS:
+            raise ConfigError(
+                f"spectrum.window must be one of {list(_WINDOWS)}, got {spec_raw['window']!r}")
         self.spectrum = spec_raw
 
         bench = raw.get("bench", {})
@@ -312,6 +314,12 @@ def _observable_rows(times, states, names):
         yield [float(t)] + [float(f(rho)) for f in funcs]
 
 
+def _basis_metadata(basis):
+    """Grid size and the two truncation checks of a Floquet basis."""
+    return {"n_samples": basis.n_samples, "closure_defect": basis.closure_defect,
+            "unitarity_defect": basis.unitarity_defect}
+
+
 def _run_flime(config, hamiltonian, times):
     setup_start = time.perf_counter()
     basis = compute_basis(hamiltonian, n_samples=config.n_samples)
@@ -319,7 +327,7 @@ def _run_flime(config, hamiltonian, times):
                         secular_cutoff=config.secular_cutoff)
     setup_time = time.perf_counter() - setup_start
     result = evolve(rates, basis, config.rho0(), times, tol=config.tol)
-    return result, setup_time
+    return result, setup_time, basis
 
 
 def _run_reference(config, hamiltonian, times):
@@ -327,7 +335,7 @@ def _run_reference(config, hamiltonian, times):
     spec = LiouvillianSpec(hamiltonian, config.channels())
     setup_time = time.perf_counter() - setup_start
     result = evolve_direct(spec, config.rho0(), times, tol=config.tol)
-    return result, setup_time
+    return result, setup_time, None
 
 
 def cmd_evolve(config, outdir):
@@ -338,7 +346,7 @@ def cmd_evolve(config, outdir):
     meta = {"results": {}}
     for name in solvers:
         runner = _run_flime if name == "flime" else _run_reference
-        result, setup_time = runner(config, hamiltonian, times)
+        result, setup_time, basis = runner(config, hamiltonian, times)
         results[name] = result
         path = Path(outdir) / f"evolve_{name}.csv"
         _write_csv(path, ["time"] + list(config.outputs),
@@ -348,6 +356,8 @@ def cmd_evolve(config, outdir):
             "setup_time_s": setup_time,
             "diagnostics": result.diagnostics.as_dict(),
         }
+        if basis is not None:
+            meta["basis"] = _basis_metadata(basis)
         print(f"wrote {path}")
     if len(results) == 2:
         dist = max(trace_distance(a, b) for a, b in
@@ -373,11 +383,13 @@ def cmd_ness(config, outdir):
         "sigma_z": np.asarray(sigma_z),
     }[observable_name]
 
+    meta = {}
     if config.solver == "flime":
         basis = compute_basis(hamiltonian, n_samples=config.n_samples)
         rates = build_terms(basis, config.channels(), k_max=config.k_max,
                             secular_cutoff=config.secular_cutoff)
         propagator = FlimePropagator(rates, basis, tol=config.tol)
+        meta["basis"] = _basis_metadata(basis)
     else:
         propagator = ReferencePropagator(LiouvillianSpec(hamiltonian, config.channels()),
                                          tol=config.tol)
@@ -391,14 +403,14 @@ def cmd_ness(config, outdir):
     _write_csv(path, ["tau", observable_name],
                ([float(t), float(v)] for t, v in zip(ness.cycle_times, ness.cycle_profile)))
     print(f"wrote {path}")
-    _write_metadata(Path(outdir) / "metadata.json", config, {
-        "ness": {
-            "converged": ness.converged,
-            "periods_to_converge": ness.periods_to_converge,
-            "period_mean": ness.period_mean,
-            "residual": ness.residual,
-            "observable": observable_name,
-        }})
+    meta["ness"] = {
+        "converged": ness.converged,
+        "periods_to_converge": ness.periods_to_converge,
+        "period_mean": ness.period_mean,
+        "residual": ness.residual,
+        "observable": observable_name,
+    }
+    _write_metadata(Path(outdir) / "metadata.json", config, meta)
     if not ness.converged:
         print("warning: NESS did not converge within max_periods", file=sys.stderr)
     return 0
@@ -421,12 +433,14 @@ def cmd_spectrum(config, outdir):
     window = config.spectrum.get("window", "hann")
     taus = np.linspace(0.0, tau_max, n_tau)
 
+    meta = {}
     if config.solver == "flime":
         basis = compute_basis(hamiltonian, n_samples=config.n_samples)
         rates = build_terms(basis, channels, k_max=config.k_max,
                             secular_cutoff=config.secular_cutoff)
         propagator = FlimePropagator(rates, basis, tol=config.tol)
         system = (rates, basis)
+        meta["basis"] = _basis_metadata(basis)
     else:
         propagator = ReferencePropagator(spec, tol=config.tol)
         system = spec
@@ -453,15 +467,15 @@ def cmd_spectrum(config, outdir):
     _write_csv(path, ["detuning", "intensity"],
                ([float(d), float(i)] for d, i in zip(result.detunings, result.intensities)))
     print(f"wrote {path}")
-    _write_metadata(Path(outdir) / "metadata.json", config, {
-        "spectrum": {
-            "frame": "rotating" if rotating else "native",
-            "tau_max": result.tau_max,
-            "n_tau": result.n_tau,
-            "window": result.window,
-            "ness_periods": ness.periods_to_converge,
-            "ness_converged": ness.converged,
-        }})
+    meta["spectrum"] = {
+        "frame": "rotating" if rotating else "native",
+        "tau_max": result.tau_max,
+        "n_tau": result.n_tau,
+        "window": result.window,
+        "ness_periods": ness.periods_to_converge,
+        "ness_converged": ness.converged,
+    }
+    _write_metadata(Path(outdir) / "metadata.json", config, meta)
     return 0
 
 
@@ -488,7 +502,7 @@ def cmd_bench(config, outdir):
             sol, tot = [], []
             for _ in range(repeats):
                 start = time.perf_counter()
-                result, setup_time = runner(config, hamiltonian, times)
+                result, _, _ = runner(config, hamiltonian, times)
                 total = time.perf_counter() - start
                 sol.append(result.diagnostics.solution_time_s)
                 tot.append(total)

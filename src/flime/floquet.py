@@ -57,8 +57,10 @@ class FloquetBasis:
         Mode matrices at each grid time (columns are modes).
     propagators : ndarray, shape (n_samples, N, N)
         One-period propagator samples U(t_j, 0).
+    grid_monodromy : ndarray, shape (N, N)
+        U(T, 0) as the product of the grid's sub-interval propagators.
     closure_defect : float
-        max |phi(T) - phi(0)| from the continuous integration pass.
+        max |phi(T) - phi(0)|, with phi(T) from ``grid_monodromy``.
     """
 
     omega: float
@@ -67,6 +69,7 @@ class FloquetBasis:
     grid_times: np.ndarray
     mode_grid: np.ndarray
     propagators: np.ndarray
+    grid_monodromy: np.ndarray
     closure_defect: float = 0.0
     _mode_coeffs: np.ndarray = field(init=False, repr=False)
     _coeff_freqs: np.ndarray = field(init=False, repr=False)
@@ -89,6 +92,11 @@ class FloquetBasis:
     @property
     def n_samples(self):
         return self.grid_times.size
+
+    @property
+    def unitarity_defect(self):
+        """Largest max |U^dag U - 1| over ``propagators`` and ``grid_monodromy``."""
+        return max(unitarity_defect(self.propagators), unitarity_defect(self.grid_monodromy))
 
     def modes_at(self, t):
         """Mode matrix at arbitrary time by trigonometric interpolation."""
@@ -222,19 +230,36 @@ def floquet_decompose(u_period, omega):
 def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     """Floquet modes and propagators on a uniform grid over one period.
 
-    One continuous integration pass fills ``n_samples`` (a power of two)
-    grid points and continues to T to measure the periodicity defect.
+    The ``n_samples`` (a power of two) sub-intervals [t_j, t_j + T/N] are
+    integrated side by side as one (N, n*n) block, whose step error is the
+    worst sub-interval's, from s = 0 to T/N; H(t_j + s) for all j comes from
+    one inverse FFT of the harmonic table
+    (:meth:`PeriodicHamiltonian.on_grid`).  A running product of the
+    sub-interval propagators V_j gives U(t_{j+1}) = V_j U(t_j), up to
+    U(T).  ``closure_defect`` compares that U(T) with ``modes0``, which come
+    from the separate sequential integration of :func:`monodromy`, so it
+    cross-checks two integrations.
     """
     if n_samples < 2 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError("n_samples must be a power of two (and at least 2)")
     n = hamiltonian.dim
     period = hamiltonian.period
-    times = np.arange(n_samples) * (period / n_samples)
-    y0 = np.eye(n, dtype=complex).ravel()
-    out, _ = integrate_adaptive(_propagator_rhs(hamiltonian), 0.0, y0,
-                                np.append(times, period), rtol=tol.rtol, atol=tol.atol)
-    propagators = out[:-1].reshape(n_samples, n, n)
-    u_final = out[-1].reshape(n, n)
+    step = period / n_samples
+    times = np.arange(n_samples) * step
+
+    def rhs(s, y):
+        return -1j * (hamiltonian.on_grid(n_samples, s)
+                      @ y.reshape(n_samples, n, n)).reshape(n_samples, n * n)
+
+    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_samples, 1))
+    out, _ = integrate_adaptive(rhs, 0.0, y0, [step], rtol=tol.rtol, atol=tol.atol)
+    sub_steps = out[0].reshape(n_samples, n, n)
+    running = np.empty((n_samples + 1, n, n), dtype=complex)
+    running[0] = np.eye(n)
+    for j, v in enumerate(sub_steps):
+        running[j + 1] = v @ running[j]
+    propagators = running[:-1]
+    u_final = running[-1]
 
     phases = np.exp(1j * np.outer(times, quasienergies))
     modes = np.einsum("tij,jb,tb->tib", propagators, modes0, phases)
@@ -247,6 +272,7 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
         grid_times=times,
         mode_grid=modes,
         propagators=propagators,
+        grid_monodromy=u_final,
         closure_defect=closure,
     )
 

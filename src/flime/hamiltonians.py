@@ -111,6 +111,7 @@ class PeriodicHamiltonian:
     static_part: np.ndarray
     terms: tuple = ()
     _harmonics: dict = field(init=False, repr=False, compare=False)
+    _harmonic_ids: np.ndarray = field(init=False, repr=False, compare=False)
     _freqs: np.ndarray = field(init=False, repr=False, compare=False)
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -144,7 +145,9 @@ class PeriodicHamiltonian:
         object.__setattr__(self, "_harmonics", harmonics)
         # H(t) = exp(1j * t * freqs) . stack, with the static part as the
         # frequency-zero row, so one product per call
-        object.__setattr__(self, "_freqs", self.omega * np.array([0, *harmonics], dtype=float))
+        harmonic_ids = np.array([0, *harmonics], dtype=int)
+        object.__setattr__(self, "_harmonic_ids", harmonic_ids)
+        object.__setattr__(self, "_freqs", self.omega * harmonic_ids.astype(float))
         object.__setattr__(self, "_stack", np.array(
             [static.ravel(), *(agg.ravel() for agg in harmonics.values())]))
 
@@ -159,6 +162,20 @@ class PeriodicHamiltonian:
     def __call__(self, t):
         """Evaluate H(t)."""
         return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(self.dim, self.dim)
+
+    def on_grid(self, n_samples, shift=0.0):
+        """H(t_j + shift) at t_j = j T / n_samples, j < n_samples, shape (n_samples, n, n).
+
+        One inverse FFT of the harmonic table: H_k exp(1j k omega shift) goes
+        to bin k mod n_samples, where e^{2 pi i k j / n_samples} is the phase
+        of t_j.  Harmonics with |k| >= n_samples / 2 share a bin with lower
+        ones and add there, so the values are exact for any n_samples.
+        """
+        bins = np.zeros((n_samples, self._stack.shape[1]), dtype=complex)
+        np.add.at(bins, self._harmonic_ids % n_samples,
+                  np.exp(1j * shift * self._freqs)[:, None] * self._stack)
+        values = np.fft.ifft(bins, axis=0, norm="forward")
+        return values.reshape(n_samples, self.dim, self.dim)
 
     def harmonic_matrix(self, k):
         """Aggregated coefficient matrix of exp(1j*k*omega*t), zero if absent."""

@@ -7,6 +7,10 @@ comparisons between formulations measure the formulation, not the stepper.
 The stepper lands on every requested output time exactly by clamping the
 step size, rather than evaluating an interpolation polynomial, so solution
 values at output points carry no interpolation error.
+
+A ``(B, m)`` state is a block of B independent problems stepped together:
+the error norm is the largest row RMS, so every row keeps the per-step
+error control it would have on its own.
 """
 
 from dataclasses import dataclass
@@ -71,20 +75,26 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _rms(x):
+    """RMS of a vector; for a (B, m) block, the largest row RMS."""
+    mean_sq = np.mean(np.abs(x) ** 2, axis=-1)
+    return np.sqrt(mean_sq if x.ndim == 1 else mean_sq.max())
+
+
 def _error_norm(err, y0, y1, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     with np.errstate(invalid="ignore"):
-        return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        return float(_rms(err / scale))
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2)) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -99,14 +109,18 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
     Parameters
     ----------
     rhs : callable(t, y) -> ndarray
-        Right-hand side; may return complex values.
+        Right-hand side; may return complex values.  ``y`` has the shape of
+        ``y0``.
+    y0 : ndarray, shape (m,) or (B, m)
+        Initial state, or a block of B states whose step error is the
+        largest row RMS.
     t_out : array_like
         Strictly increasing output times, all >= ``t0``.  The stepper hits
         each one exactly.
 
     Returns
     -------
-    (ndarray of shape (len(t_out), len(y0)), IntegratorStats)
+    (ndarray of shape (len(t_out), *y0.shape), IntegratorStats)
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     if t_out.size == 0:
@@ -117,9 +131,11 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
         raise ValueError(f"first output time {t_out[0]} precedes start time {t0}")
 
     y = np.asarray(y0, dtype=complex).copy()
+    if y.ndim not in (1, 2):
+        raise ValueError(f"y0 must be 1-D or a 2-D block, got shape {y.shape}")
     t = float(t0)
     stats = IntegratorStats()
-    out = np.empty((t_out.size, y.size), dtype=complex)
+    out = np.empty((t_out.size, *y.shape), dtype=complex)
 
     i_out = 0
     if t_out[0] == t0:
@@ -136,7 +152,8 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
         h = _initial_step(rhs, t, y, f, rtol, atol, max_step)
         stats.rhs_evals += 1
 
-    K = np.empty((7, y.size), dtype=complex)
+    K = np.empty((7, *y.shape), dtype=complex)
+    flat_k = K.reshape(7, y.size)  # a view, so stage sums are one product
     while i_out < t_out.size:
         t_target = t_out[i_out]
         h_min = 16 * np.finfo(float).eps * max(abs(t), 1.0)
@@ -151,11 +168,11 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
 
         K[0] = f
         for s in range(1, 7):
-            ys = y + h * (_A[s] @ K[:s])
+            ys = y + h * (_A[s] @ flat_k[:s]).reshape(y.shape)
             K[s] = rhs(t + _C[s] * h, ys)
         stats.rhs_evals += 6
-        y_new = y + h * (_B5 @ K)
-        err = h * (_E @ K)
+        y_new = y + h * (_B5 @ flat_k).reshape(y.shape)
+        err = h * (_E @ flat_k).reshape(y.shape)
         norm = _error_norm(err, y, y_new, rtol, atol)
 
         if norm <= 1.0:

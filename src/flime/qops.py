@@ -105,9 +105,9 @@ def hermiticity_defect(m):
 
 
 def unitarity_defect(u):
-    """max |u^dag u - 1|."""
+    """max |u^dag u - 1| over a matrix or a stack of matrices (last two axes)."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
 def check_density_matrix(rho, trace_tol=1e-9, herm_tol=1e-12):

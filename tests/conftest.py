@@ -104,6 +104,7 @@ def shift_gauge(basis, index, n_shift=1):
         grid_times=basis.grid_times.copy(),
         mode_grid=grid,
         propagators=basis.propagators.copy(),
+        grid_monodromy=basis.grid_monodromy.copy(),
         closure_defect=basis.closure_defect,
     )
 

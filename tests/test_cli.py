@@ -24,10 +24,16 @@ def _base_config(**overrides):
         "k_max": 10,
         "evolution": {"n_periods": 2, "samples_per_period": 100},
         "outputs": ["excited_population"],
-        "seed": 0,
     }
     config.update(overrides)
     return config
+
+
+def _check_basis_metadata(meta, n_samples=256):
+    basis = meta["basis"]
+    assert basis["n_samples"] == n_samples
+    assert 0.0 <= basis["closure_defect"] < 1e-9
+    assert 0.0 <= basis["unitarity_defect"] < 1e-9
 
 
 def _read_csv(path):
@@ -51,6 +57,7 @@ class TestEvolveCommand:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["library_version"]
         assert "flime" in meta["results"]
+        _check_basis_metadata(meta)
 
     def test_both_solvers_and_agreement_report(self, tmp_path):
         cfg = _write_config(tmp_path, _base_config(solver="both"))
@@ -128,6 +135,19 @@ class TestConfigValidation:
         assert f"spectrum.{key}" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
+    def test_unknown_spectrum_window_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _base_config(solver="reference",
+                                                   spectrum={"window": "hamming"}))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum.window" in err and "hamming" in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _base_config(seed=0))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestNessCommand:
     def test_cycle_csv_and_metadata(self, tmp_path):
@@ -142,6 +162,22 @@ class TestNessCommand:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["ness"]["converged"] is True
         assert meta["ness"]["periods_to_converge"] >= 1
+
+
+class TestBasisMetadata:
+    @pytest.mark.parametrize("command", ["ness", "spectrum"])
+    @pytest.mark.parametrize("solver", ["flime", "reference"])
+    def test_written_when_a_basis_is_built(self, tmp_path, command, solver):
+        config = _base_config(solver=solver, n_samples=64)
+        config["ness"] = {"conv_tol": 1e-7, "max_periods": 400, "samples_per_period": 8}
+        config["spectrum"] = {"tau_max": 4.0, "n_tau": 64}
+        cfg = _write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        if solver == "flime":
+            _check_basis_metadata(meta, n_samples=64)
+        else:
+            assert "basis" not in meta
 
 
 class TestSpectrumCommand:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from flime import (OdeTol, PeriodicHamiltonian, brillouin_fold, compute_basis,
-                   floquet_decompose, fourier_coefficients, mode_grid,
-                   monodromy, sigma_minus, unitarity_defect)
+from flime import (OdeTol, PeriodicHamiltonian, brillouin_fold, build_pulse_train,
+                   compute_basis, floquet, floquet_decompose, fourier_coefficients,
+                   integrate_adaptive, mode_grid, monodromy, sigma_minus,
+                   unitarity_defect)
 from conftest import random_single_harmonic_system, rk4_matrix_propagator
 
 
@@ -11,6 +12,20 @@ def _eq29_system():
     from flime import build_driven_2ls_full
     omega0 = 2 * np.pi
     return build_driven_2ls_full(omega0, omega0, 0.5 * omega0, 0.5 * omega0)
+
+
+def _sequential_propagators(h, n_samples):
+    """U(t_j, 0) on the uniform grid from one pass that stops at every grid
+    point, at rtol 1e-13 (oracle for the batched grid)."""
+    n = h.dim
+    times = np.arange(n_samples) * (h.period / n_samples)
+
+    def rhs(t, y):
+        return (-1j * h(t) @ y.reshape(n, n)).ravel()
+
+    out, _ = integrate_adaptive(rhs, 0.0, np.eye(n, dtype=complex).ravel(), times,
+                                rtol=1e-13, atol=1e-15)
+    return out.reshape(n_samples, n, n)
 
 
 class TestBrillouinFold:
@@ -125,6 +140,41 @@ class TestModeGrid:
         h = _eq29_system()
         basis = compute_basis(h)
         assert max(unitarity_defect(u) for u in basis.propagators[::16]) < 1e-9
+        per_matrix = [unitarity_defect(u) for u in (*basis.propagators, basis.grid_monodromy)]
+        assert basis.unitarity_defect == pytest.approx(max(per_matrix), abs=1e-15)
+        assert basis.unitarity_defect < 1e-9
+
+    @pytest.mark.parametrize("system, n_samples", [
+        ("pulse-train", 1024), ("strong-2ls", 256), ("random-n8", 256)])
+    def test_batched_grid_matches_sequential_oracle(self, rng, system, n_samples):
+        if system == "pulse-train":
+            h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        elif system == "strong-2ls":
+            h = _eq29_system()
+        else:
+            h, _ = random_single_harmonic_system(rng, 8, with_channel=False)
+        basis = compute_basis(h, n_samples=n_samples)
+        oracle = _sequential_propagators(h, n_samples)
+        assert np.max(np.abs(basis.propagators - oracle)) < 1e-10
+        phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
+        modes = np.einsum("tij,jb,tb->tib", oracle, basis.modes0, phases)
+        assert np.max(np.abs(basis.mode_grid - modes)) < 1e-10
+
+    def test_pulse_train_grid_takes_few_steps(self, monkeypatch):
+        # the 1024 sub-intervals are stepped together, so the grid costs a
+        # few steps of length T/1024 instead of one stop per grid point
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        eps, modes0 = floquet_decompose(monodromy(h), h.omega)
+        calls = []
+
+        def recording(*args, **kwargs):
+            out, stats = integrate_adaptive(*args, **kwargs)
+            calls.append(stats)
+            return out, stats
+
+        monkeypatch.setattr(floquet, "integrate_adaptive", recording)
+        mode_grid(h, eps, modes0, n_samples=1024)
+        assert len(calls) == 1 and calls[0].steps_accepted <= 10
 
     def test_rejects_non_power_of_two(self):
         h = _eq29_system()

@@ -62,6 +62,16 @@ class TestPeriodicHamiltonian:
                 loop += term.amplitude * np.exp(1j * term.harmonic * h.omega * t) * term.matrix
             assert np.max(np.abs(h(t) - loop)) < 1e-13
 
+    @pytest.mark.parametrize("n_samples", [8, 64, 1024])
+    def test_on_grid_matches_pointwise_calls(self, rng, n_samples):
+        # the 40 harmonics alias at n_samples = 8 and 64 (|k| >= n_samples/2
+        # shares a bin); at 8 the harmonics that share a bin are both large
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        grid = np.arange(n_samples) * h.period / n_samples
+        for shift in (0.0, *rng.uniform(0, h.period / n_samples, 2)):
+            pointwise = np.array([h(t + shift) for t in grid])
+            assert np.max(np.abs(h.on_grid(n_samples, shift) - pointwise)) < 1e-13
+
     def test_periodicity(self, rng):
         h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, 0.8, 0.8)
         for t in rng.uniform(0, 7, 9):

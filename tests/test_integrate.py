@@ -54,6 +54,36 @@ class TestStepping:
                                   first_step=1e-3)
         assert abs(y[0, 0] - np.exp(-1.0)) < 1e-8
 
+    def test_block_steps_at_its_worst_row(self):
+        # one stiff row among 63 constant ones: the block norm is the worst
+        # row's, so the block needs at least the stiff row's steps (an RMS
+        # over the whole block would divide its error by 8)
+        rates = np.zeros((64, 1), dtype=complex)
+        rates[17] = -30.0 + 200.0j
+        y0 = np.ones((64, 1), dtype=complex)
+        block, block_stats = integrate_adaptive(lambda t, y: rates * y, 0.0, y0, [1.0],
+                                                rtol=1e-9, atol=1e-12)
+        alone, alone_stats = integrate_adaptive(lambda t, y: rates[17] * y, 0.0, y0[17], [1.0],
+                                                rtol=1e-9, atol=1e-12)
+        assert block.shape == (1, 64, 1)
+        assert block_stats.steps_accepted >= alone_stats.steps_accepted
+        assert abs(block[0, 17, 0] - alone[0, 0]) < 1e-12
+        assert np.all(block[0, np.arange(64) != 17] == 1.0)
+
+    def test_one_row_block_matches_vector(self):
+        # elementwise right-hand side, so both shapes do the same arithmetic
+        rates = np.array([-0.3 + 2.0j, 0.1 - 1.0j])
+        y0 = np.array([1.0, 0.5j])
+        t_out = np.linspace(0.0, 3.0, 7)
+
+        def rhs(t, y):
+            return np.cos(t) * rates * y
+
+        vec, vec_stats = integrate_adaptive(rhs, 0.0, y0, t_out)
+        block, block_stats = integrate_adaptive(rhs, 0.0, y0[None, :], t_out)
+        assert np.array_equal(block[:, 0], vec)
+        assert block_stats == vec_stats
+
     def test_dense_output_grid(self):
         # many closely spaced outputs are each hit exactly and accurately
         t_out = np.linspace(0.0, 1.0, 257)
@@ -74,6 +104,10 @@ class TestValidation:
     def test_rejects_empty_output(self):
         with pytest.raises(ValueError, match="no output times"):
             integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0 + 0j]), [])
+
+    def test_rejects_state_of_more_than_two_axes(self):
+        with pytest.raises(ValueError, match="2-D block"):
+            integrate_adaptive(lambda t, y: -y, 0.0, np.ones((2, 2, 2), dtype=complex), [1.0])
 
     def test_ode_tol_validation(self):
         with pytest.raises(ValueError):
