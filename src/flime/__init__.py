@@ -26,9 +26,8 @@ from .qops import (check_density_matrix, expect, fold, hermiticity_defect,
                    pure_state_density, sandwich_superop, sigma_minus, sigma_plus,
                    sigma_x, sigma_y, sigma_z, trace_distance, unfold,
                    unitarity_defect)
-from .solver import (CollapseChannel, Diagnostics, EvolutionResult, RateTerm,
-                     RateTermSet, assemble, build_terms, dissipator_bruteforce,
-                     enumerate_terms, evolve)
+from .solver import (CollapseChannel, Diagnostics, EvolutionResult, RateTermSet,
+                     assemble, build_terms, evolve)
 
 __all__ = [
     "__version__",
@@ -49,9 +48,8 @@ __all__ = [
     "monodromy", "floquet_decompose", "mode_grid", "compute_basis",
     "fourier_coefficients",
     # solver
-    "CollapseChannel", "RateTerm", "RateTermSet", "Diagnostics",
-    "EvolutionResult", "enumerate_terms", "build_terms", "assemble",
-    "dissipator_bruteforce", "evolve",
+    "CollapseChannel", "RateTermSet", "Diagnostics", "EvolutionResult",
+    "build_terms", "assemble", "evolve",
     # lindblad
     "LiouvillianSpec", "liouvillian_at", "evolve_direct",
     # analysis

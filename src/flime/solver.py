@@ -9,9 +9,15 @@ time-independent superoperator oscillating at
 with complex weight ``rate * S(alpha, beta, k) * conj(S(alpha', beta', k'))``.
 Tuples with ``delta == 0`` form the static (secular) part and are always
 kept; oscillating tuples are kept when the magnitude of their negligibility
-factor, ``|delta| / |S * S'|``, does not exceed ``secular_cutoff``.  Kept
-tuples are aggregated by distinct ``delta`` so the right-hand side costs one
-matrix-vector product per distinct frequency.
+factor, ``|delta| / |S * S'|``, does not exceed ``secular_cutoff``.
+
+Whatever the cutoff, the kept tuples live in one store: in the frame rotated
+by the quasienergy gaps every tuple oscillates at (k - k') * omega only, so
+the rate superoperator is a stack of 4 k_max + 1 rotated-frame harmonics (see
+:class:`RateTermSet`).  Evaluating it costs one sum over the harmonics and
+one elementwise phase, independent of how many distinct frequencies delta
+the kept tuples have; that count, ``n_frequency_groups``, is reported for
+information only.
 
 States are propagated in the Floquet interaction picture (time-dependent
 basis of Floquet states), where the coherent evolution is carried entirely
@@ -29,18 +35,15 @@ import numpy as np
 
 from .floquet import fourier_coefficients
 from .integrate import OdeTol, integrate_adaptive
-from .qops import check_density_matrix, hermiticity_defect, sandwich_superop, unfold
+from .qops import check_density_matrix, hermiticity_defect, unfold
 
 __all__ = [
     "CollapseChannel",
-    "RateTerm",
     "RateTermSet",
     "Diagnostics",
     "EvolutionResult",
-    "enumerate_terms",
     "build_terms",
     "assemble",
-    "dissipator_bruteforce",
     "evolve",
 ]
 
@@ -49,9 +52,9 @@ _GROUP_REL_TOL = 1e-12
 # Output times whose phases t mod T differ by at most this many ulps of the
 # largest t / T share one phase of the one-period map.
 _PHASE_ULPS = 64
-# Largest total element count for densely stored frequency groups; beyond
-# this only the complete (no filtering) factored evaluation is available.
-_DENSE_LIMIT = 2_000_000
+# Candidate pairs of a filtered set are screened this many at a time, which
+# bounds the working memory of build_terms independently of the pair count.
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,36 +75,26 @@ class CollapseChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class RateTerm:
-    """One index tuple of the decomposed dissipator."""
-
-    alpha: int
-    beta: int
-    k: int
-    alpha2: int
-    beta2: int
-    k2: int
-    delta: float
-    weight: complex
-    negligibility: float
-
-    def superop(self, dim):
-        """The bracketed Lindblad sandwich A . A'^dag - (1/2){A'^dag A, .}
-        as a superoperator (unit coefficients; ``weight`` not included)."""
-        a = np.zeros((dim, dim), dtype=complex)
-        a[self.alpha, self.beta] = 1.0
-        a2 = np.zeros((dim, dim), dtype=complex)
-        a2[self.alpha2, self.beta2] = 1.0
-        eye = np.eye(dim, dtype=complex)
-        a2d_a = a2.conj().T @ a
-        return (sandwich_superop(a, a2.conj().T)
-                - 0.5 * sandwich_superop(a2d_a, eye)
-                - 0.5 * sandwich_superop(eye, a2d_a))
-
-
-@dataclass(frozen=True, eq=False)
 class RateTermSet:
-    """Decomposed rate superoperator: static part plus frequency groups."""
+    """Decomposed rate superoperator, stored as rotated-frame harmonics.
+
+    Supervector index p = (a, a') carries the quasienergy gap
+    ``gaps[p] = eps_a - eps_a'``.  A kept tuple adds to harmonic
+    m = k - k' at the sandwich position (p, q) = ((alpha, alpha'),
+    (beta, beta')), where it oscillates at m * omega + gaps[p] - gaps[q].
+    With ``harmonics[m + 2 * k_max]`` the superoperator R~_m, the
+    Floquet-picture rate matrix is therefore
+
+        R(t)[p, q] = exp(1j*(gaps[p] - gaps[q])*t) * sum_m R~_m[p, q] exp(1j*m*omega*t).
+
+    This one store serves complete, filtered and static sets alike, and
+    evaluating R(t) costs the same however many distinct frequencies the
+    kept tuples have.  ``deltas`` holds those distinct nonzero frequencies
+    and, with ``n_frequency_groups`` and the term counts, is reported for
+    information.  ``fourier_tail`` is the largest ``FourierOperator.tail``
+    of a channel relative to its largest coefficient: a truncation check on
+    ``k_max``.
+    """
 
     dim: int
     omega: float
@@ -109,71 +102,30 @@ class RateTermSet:
     k_max: int
     secular_cutoff: float
     coeff_floor: float
-    static_part: np.ndarray
+    gaps: np.ndarray
     deltas: np.ndarray
     candidate_terms: int
     kept_static: int
     kept_oscillating: int
     dropped_count: int
-    _dense: np.ndarray | None = field(default=None, repr=False)
-    _tuples: tuple | None = field(default=None, repr=False)
-    _factored: tuple | None = field(default=None, repr=False)
+    fourier_tail: float
+    harmonics: np.ndarray = field(repr=False)
 
     @property
     def n_frequency_groups(self):
         return self.deltas.size
 
     @property
-    def is_complete(self):
-        """True when no term was filtered (cutoff = inf, floor = 0)."""
-        return np.isinf(self.secular_cutoff) and self.coeff_floor == 0.0
-
-    def oscillating_terms(self):
-        """Yield ``(delta, superoperator)`` for each distinct frequency."""
-        if self._dense is not None:
-            for delta, sup in zip(self.deltas, self._dense):
-                yield float(delta), sup
-        elif self._tuples is not None:
-            gid, a1, b1, a2, b2, w = self._tuples
-            nn = self.dim * self.dim
-            for g, delta in enumerate(self.deltas):
-                sel = gid == g
-                sup = np.zeros((nn, nn), dtype=complex)
-                _accumulate(sup, a1[sel], b1[sel], a2[sel], b2[sel], w[sel], self.dim)
-                yield float(delta), sup
+    def static_part(self):
+        """The secular (delta = 0) part of R(t), a constant superoperator."""
+        freqs = _frequencies(self.omega, self.k_max, self.gaps)
+        return np.sum(self.harmonics, axis=0, where=np.abs(freqs) <= _SECULAR_REL_TOL * self.omega)
 
 
-def _accumulate(superop, a1, b1, a2, b2, w, n, gid=None):
-    """Scatter tuple contributions into an aggregated superoperator.
-
-    Each tuple adds ``w`` at the sandwich position and, when ``a1 == a2``,
-    the two anticommutator blocks with weight ``-w/2``.  ``gid`` selects the
-    leading group axis when ``superop`` is a stack.
-    """
-    rows = a2 * n + a1
-    cols = b2 * n + b1
-    if gid is None:
-        np.add.at(superop, (rows, cols), w)
-    else:
-        np.add.at(superop, (gid, rows, cols), w)
-    mask = a1 == a2
-    if not np.any(mask):
-        return
-    b1m, b2m, wm = b1[mask], b2[mask], -0.5 * w[mask]
-    L = wm.size
-    i_rep = np.repeat(np.arange(n), L)
-    b1t, b2t, wt = np.tile(b1m, n), np.tile(b2m, n), np.tile(wm, n)
-    rows_l = i_rep * n + b2t
-    cols_l = i_rep * n + b1t
-    rows_r = b1t * n + i_rep
-    cols_r = b2t * n + i_rep
-    if gid is None:
-        np.add.at(superop, (rows_l, cols_l), wt)
-        np.add.at(superop, (rows_r, cols_r), wt)
-    else:
-        gt = np.tile(gid[mask], n)
-        np.add.at(superop, (gt, rows_l, cols_l), wt)
-        np.add.at(superop, (gt, rows_r, cols_r), wt)
+def _frequencies(omega, k_max, gaps):
+    """Frequency m * omega + gaps[p] - gaps[q] of every harmonic entry."""
+    m = np.arange(-2 * k_max, 2 * k_max + 1) * omega
+    return m[:, None, None] + np.subtract.outer(gaps, gaps)[None]
 
 
 def _tuple_table(basis, channel, k_max):
@@ -188,47 +140,59 @@ def _tuple_table(basis, channel, k_max):
     return four, a_idx, b_idx, ks, coeff, rot_freq
 
 
-def enumerate_terms(basis, channel, k_max, coeff_floor=0.0):
-    """Yield every :class:`RateTerm` with coefficient product above the floor.
-
-    Enumerates all index tuples of one channel without secular filtering;
-    intended for diagnostics and tests (quadratic in the tuple count).
-    """
-    _, a_idx, b_idx, ks, coeff, rot_freq = _tuple_table(basis, channel, k_max)
-    absc = np.abs(coeff)
-    m = coeff.size
-    for i in range(m):
-        for j in range(m):
-            prod = absc[i] * absc[j]
-            if prod < coeff_floor:
-                continue
-            delta = rot_freq[i] - rot_freq[j]
-            yield RateTerm(
-                alpha=int(a_idx[i]), beta=int(b_idx[i]), k=int(ks[i]),
-                alpha2=int(a_idx[j]), beta2=int(b_idx[j]), k2=int(ks[j]),
-                delta=float(delta),
-                weight=channel.rate * coeff[i] * np.conj(coeff[j]),
-                negligibility=float(abs(delta) / prod) if prod > 0 else np.inf,
-            )
-
-
 def _cluster(deltas, omega):
-    """Group frequencies equal within 1e-12 relative; returns (gid, reps)."""
+    """Distinct frequencies: sorted values within 1e-12 relative of their
+    neighbour form one group, represented by its mean."""
     if deltas.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    order = np.argsort(deltas)
-    sorted_d = deltas[order]
-    gap_tol = _GROUP_REL_TOL * np.maximum(omega, np.abs(sorted_d[:-1]))
-    new_group = np.diff(sorted_d) > gap_tol
-    gid_sorted = np.concatenate(([0], np.cumsum(new_group)))
-    gid = np.empty(deltas.size, dtype=int)
-    gid[order] = gid_sorted
-    n_groups = int(gid_sorted[-1]) + 1
-    reps = np.zeros(n_groups)
-    counts = np.zeros(n_groups)
-    np.add.at(reps, gid, deltas)
-    np.add.at(counts, gid, 1.0)
-    return gid, reps / counts
+        return np.zeros(0)
+    d = np.sort(deltas)
+    gap_tol = np.maximum(np.abs(d[:-1]), omega)
+    gap_tol *= _GROUP_REL_TOL
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(d) > gap_tol) + 1))
+    return np.add.reduceat(d, starts) / np.diff(np.append(starts, d.size))
+
+
+def _sampled_harmonics(rate, coeffs):
+    """Harmonics of one complete channel from samples of its dissipator.
+
+    The rotated-frame operator S~(theta) = sum_k c_k exp(1j*k*theta) has
+    degree k_max, so its sandwich conj(S~) (x) S~ and S~^dag S~ have degree
+    2 k_max: 4 k_max + 1 samples and one FFT give their harmonics exactly.
+    Weighting the samples by exp(2j*k_max*theta) puts harmonic m in FFT bin
+    m + 2 k_max.  Returns the sandwich harmonics and those of S~^dag S~.
+    """
+    k_max = (coeffs.shape[2] - 1) // 2
+    size = 4 * k_max + 1
+    n = coeffs.shape[0]
+    theta = 2.0 * np.pi * np.arange(size) / size
+    s = np.moveaxis(coeffs @ np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), theta)), 2, 0)
+    weight = rate * np.exp(2j * k_max * theta)
+    sandwich = np.einsum("xij,xkl,x->xikjl", s.conj(), s, weight).reshape(size, n * n, n * n)
+    anti = (s.conj().transpose(0, 2, 1) @ s) * weight[:, None, None]
+    return (np.fft.fft(sandwich, axis=0, norm="forward", out=sandwich),
+            np.fft.fft(anti, axis=0, norm="forward", out=anti))
+
+
+def _pair_blocks(lo, hi):
+    """Yield ``(i, j)`` for the pairs lo[i] <= j < hi[i], in row blocks of
+    about ``_PAIR_BLOCK`` pairs (at least one row each)."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    row = 0
+    while row < lo.size:
+        done = ends[row - 1] if row else 0
+        stop = max(row + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        c = counts[row:stop]
+        i = np.repeat(np.arange(row, stop), c)
+        j = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - lo[row:stop], c)
+        yield i, j
+        row = stop
+
+
+def _count_pairs(values, lower, upper):
+    """Number of pairs (i, j) with lower[i] <= values[j] <= upper[i]; ``values`` sorted."""
+    return int(np.sum(np.searchsorted(values, upper, side="right")
+                      - np.searchsorted(values, lower, side="left")))
 
 
 def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12):
@@ -237,6 +201,12 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     Filtering order per tuple: coefficient-product floor first, then
     unconditional acceptance of ``delta == 0``, then the negligibility test
     ``|delta| / |S * S'| <= secular_cutoff``.  Channels combine additively.
+
+    A complete set (cutoff inf, floor 0) is sampled in time and transformed
+    (:func:`_sampled_harmonics`); no tuple pair is enumerated.  A filtered
+    set screens candidate pairs in blocks, only within the window of
+    rotation frequencies a kept pair can reach, and scatters each kept pair
+    into its harmonic.  Memory is bounded by the harmonic store either way.
     """
     if basis.dim < 1:
         raise ValueError("empty Floquet basis")
@@ -252,116 +222,117 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
 
     n = basis.dim
     nn = n * n
+    size = 4 * k_max + 1
     omega = basis.omega
     sec_tol = _SECULAR_REL_TOL * omega
-    static = np.zeros((nn, nn), dtype=complex)
-    osc_chunks = []
-    factored = []
-    candidates = kept_static = kept_osc = dropped = 0
+    complete = bool(np.isinf(secular_cutoff)) and coeff_floor == 0.0
+    eps = basis.quasienergies
+    gaps = np.subtract.outer(eps, eps).ravel(order="F")
+    sandwich = np.zeros(size * nn * nn, dtype=complex)
+    anti = np.zeros(size * nn, dtype=complex)
+    oscillates = np.zeros(size * nn * nn, dtype=bool)
+    candidates = kept_static = kept_osc = 0
+    tail = 0.0
 
     for ch in channels:
-        four, a_idx, b_idx, _, coeff, rot_freq = _tuple_table(basis, ch, k_max)
-        factored.append((ch.rate, four.coeffs))
+        four, a_idx, b_idx, ks, coeff, rot_freq = _tuple_table(basis, ch, k_max)
         absc = np.abs(coeff)
-        prod = absc[:, None] * absc[None, :]
-        keep_floor = prod >= coeff_floor
-        delta = rot_freq[:, None] - rot_freq[None, :]
-        secular = np.abs(delta) <= sec_tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg = np.abs(delta) / prod
-        neg[~np.isfinite(neg)] = np.inf
-        keep = keep_floor & (secular | (neg <= secular_cutoff))
-        w = ch.rate * (coeff[:, None] * coeff.conj()[None, :])
+        if absc.max() > 0.0:
+            tail = max(tail, four.tail / absc.max())
+        order = np.argsort(rot_freq, kind="stable")
+        rot = rot_freq[order]
+        m = absc.size
+        if complete:
+            s_harm, a_harm = _sampled_harmonics(ch.rate, four.coeffs)
+            sandwich += s_harm.ravel()
+            anti += a_harm.ravel()
+            oscillates[:] = True
+            statics = _count_pairs(rot, rot - sec_tol, rot + sec_tol)
+            candidates += m * m
+            kept_static += statics
+            kept_osc += m * m - statics
+            continue
 
-        candidates += int(keep_floor.sum())
-        dropped += int((keep_floor & ~keep).sum())
+        if coeff_floor > 0.0:
+            with np.errstate(divide="ignore"):
+                candidates += _count_pairs(np.sort(absc), coeff_floor / absc, np.inf)
+        else:
+            candidates += m * m
+        absc_s = absc[order]
+        if np.isinf(secular_cutoff):
+            lo, hi = np.zeros(m, dtype=int), np.full(m, m)
+        else:
+            # A kept oscillating pair has |delta| <= cutoff * |S_i| * max|S|.
+            reach = secular_cutoff * absc_s * absc.max() * (1.0 + 1e-9) + 2.0 * sec_tol
+            lo = np.searchsorted(rot, rot - reach, side="left")
+            hi = np.searchsorted(rot, rot + reach, side="right")
+        barren = absc_s * absc.max() < coeff_floor
+        hi[barren] = lo[barren]
+        for i, j in _pair_blocks(lo, hi):
+            delta = rot[i] - rot[j]
+            prod = absc_s[i] * absc_s[j]
+            secular = np.abs(delta) <= sec_tol
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keep = (prod >= coeff_floor) & (secular | (np.abs(delta) / prod <= secular_cutoff))
+            kept_static += int(np.count_nonzero(keep & secular))
+            kept_osc += int(np.count_nonzero(keep & ~secular))
+            i, j, osc = order[i[keep]], order[j[keep]], ~secular[keep]
+            w = ch.rate * coeff[i] * coeff[j].conj()
+            harm = ks[i] - ks[j] + 2 * k_max
+            flat = ((harm * n + a_idx[j]) * n + a_idx[i]) * nn + b_idx[j] * n + b_idx[i]
+            sandwich += (np.bincount(flat, w.real, sandwich.size)
+                         + 1j * np.bincount(flat, w.imag, sandwich.size))
+            oscillates[flat[osc]] = True
+            same = a_idx[i] == a_idx[j]
+            flat = (harm[same] * n + b_idx[j[same]]) * n + b_idx[i[same]]
+            anti += (np.bincount(flat, w[same].real, anti.size)
+                     + 1j * np.bincount(flat, w[same].imag, anti.size))
 
-        i1, i2 = np.nonzero(keep & secular)
-        kept_static += i1.size
-        _accumulate(static, a_idx[i1], b_idx[i1], a_idx[i2], b_idx[i2], w[i1, i2], n)
+    # The anticommutator -(1/2){S^dag S, .} of every harmonic, column stacking.
+    anti = -0.5 * anti.reshape(size, n, n)
+    eye = np.eye(n)
+    harmonics = sandwich.reshape(size, nn, nn)
+    harmonics += np.einsum("ij,xkl->xikjl", eye, anti).reshape(size, nn, nn)
+    harmonics += np.einsum("xji,kl->xikjl", anti, eye).reshape(size, nn, nn)
 
-        j1, j2 = np.nonzero(keep & ~secular)
-        kept_osc += j1.size
-        if j1.size:
-            osc_chunks.append((delta[j1, j2], w[j1, j2],
-                               a_idx[j1], b_idx[j1], a_idx[j2], b_idx[j2]))
-
-    if osc_chunks:
-        all_delta = np.concatenate([c[0] for c in osc_chunks])
-        all_w = np.concatenate([c[1] for c in osc_chunks])
-        all_a1 = np.concatenate([c[2] for c in osc_chunks])
-        all_b1 = np.concatenate([c[3] for c in osc_chunks])
-        all_a2 = np.concatenate([c[4] for c in osc_chunks])
-        all_b2 = np.concatenate([c[5] for c in osc_chunks])
-        gid, reps = _cluster(all_delta, omega)
-    else:
-        gid = np.zeros(0, dtype=int)
-        reps = np.zeros(0)
-        all_w = np.zeros(0, dtype=complex)
-        all_a1 = all_b1 = all_a2 = all_b2 = np.zeros(0, dtype=int)
-
-    complete = bool(np.isinf(secular_cutoff)) and coeff_floor == 0.0
-    dense = None
-    tuples = None
-    if reps.size * nn * nn <= _DENSE_LIMIT:
-        dense = np.zeros((reps.size, nn, nn), dtype=complex)
-        if reps.size:
-            _accumulate(dense, all_a1, all_b1, all_a2, all_b2, all_w, n, gid=gid)
-    else:
-        tuples = (gid, all_a1, all_b1, all_a2, all_b2, all_w)
-        if not complete:
-            raise ValueError(
-                f"{reps.size} frequency groups exceed the dense storage budget; "
-                "raise coeff_floor, lower secular_cutoff or reduce k_max")
-
+    freqs = _frequencies(omega, k_max, gaps).ravel()[oscillates]
+    reps = _cluster(freqs[np.abs(freqs) > sec_tol], omega)
     return RateTermSet(
         dim=n, omega=omega, channels=channels, k_max=int(k_max),
         secular_cutoff=float(secular_cutoff), coeff_floor=float(coeff_floor),
-        static_part=static, deltas=reps,
-        candidate_terms=candidates, kept_static=kept_static,
-        kept_oscillating=kept_osc, dropped_count=dropped,
-        _dense=dense, _tuples=tuples,
-        _factored=tuple(factored) if complete else None,
+        gaps=gaps, deltas=reps, candidate_terms=candidates,
+        kept_static=kept_static, kept_oscillating=kept_osc,
+        dropped_count=candidates - kept_static - kept_osc,
+        fourier_tail=float(tail), harmonics=harmonics,
     )
 
 
-def assemble(rates, t):
-    """Materialize the rate superoperator R(t) = static + sum exp(1j*d*t) M_d."""
-    r = rates.static_part.copy()
-    if rates._dense is not None and rates.deltas.size:
-        phases = np.exp(1j * rates.deltas * t)
-        r += np.tensordot(phases, rates._dense, axes=(0, 0))
-    else:
-        for delta, sup in rates.oscillating_terms():
-            r += np.exp(1j * delta * t) * sup
-    return r
+def _rate_matrix(rates):
+    """Closure t -> R(t), the Floquet-picture rate superoperator.
 
-
-def dissipator_bruteforce(basis, channels, rho, t, k_max=20):
-    """Direct tuple-by-tuple dissipator evaluation (test oracle).
-
-    Sums ``rate * (S1 rho S2^dag - (1/2){S2^dag S1, rho})`` over all index
-    tuples with the time-dependent phases attached to the operators, with no
-    filtering.  Quadratic in the tuple count; intended for small systems.
+    One exponential of the concatenated harmonic and gap frequencies gives
+    both the harmonic weights and the gap phases; a static set is constant.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = basis.dim
-    out = np.zeros((n, n), dtype=complex)
-    for ch in channels:
-        _, a_idx, b_idx, _, coeff, rot_freq = _tuple_table(basis, ch, k_max)
-        ops = []
-        for a, b, c, f in zip(a_idx, b_idx, coeff, rot_freq):
-            if c == 0.0:
-                continue
-            op = np.zeros((n, n), dtype=complex)
-            op[a, b] = c * np.exp(1j * f * t)
-            ops.append(op)
-        for s1 in ops:
-            for s2 in ops:
-                s2d = s2.conj().T
-                s2d_s1 = s2d @ s1
-                out += ch.rate * (s1 @ rho @ s2d - 0.5 * (s2d_s1 @ rho + rho @ s2d_s1))
-    return out
+    if not rates.deltas.size:
+        static = rates.static_part
+        return lambda t: static
+    size = rates.harmonics.shape[0]
+    nn = rates.dim * rates.dim
+    harmonics = rates.harmonics.reshape(size, nn * nn)
+    ifreq = 1j * np.concatenate((np.arange(-2 * rates.k_max, 2 * rates.k_max + 1) * rates.omega,
+                                 -rates.gaps))
+
+    def at(t):
+        e = np.exp(t * ifreq)
+        d = e[size:]
+        return (e[:size] @ harmonics).reshape(nn, nn) * (d.conj()[:, None] * d)
+
+    return at
+
+
+def assemble(rates, t):
+    """Materialize the rate superoperator R(t) (see :class:`RateTermSet`)."""
+    return _rate_matrix(rates)(t)
 
 
 def _make_rhs(rates, basis):
@@ -370,40 +341,11 @@ def _make_rhs(rates, basis):
     ``v`` is a flattened ``(n^2, B)`` block, so one call advances B
     supervectors at once.
     """
-    static = rates.static_part
-    n = rates.dim
-    nn = n * n
-    if rates._dense is not None and rates.deltas.size:
-        deltas = rates.deltas
-        groups = rates._dense.reshape(deltas.size, nn * nn)
+    rate_at = _rate_matrix(rates)
+    nn = rates.dim * rates.dim
 
-        def rhs(t, v):
-            r = static + (np.exp(1j * deltas * t) @ groups).reshape(nn, nn)
-            return (r @ v.reshape(nn, -1)).ravel()
-
-    elif rates._factored is not None:
-        # Complete set: the tuple sum factorizes into single Lindblad
-        # operators S(t) per channel, so the static part is not added again.
-        eps = basis.quasienergies
-        ks = np.arange(-rates.k_max, rates.k_max + 1)
-        omega = rates.omega
-        items = rates._factored
-
-        def rhs(t, v):
-            rho = v.reshape(n, n, -1).transpose(2, 1, 0)
-            kph = np.exp(1j * ks * omega * t)
-            eph = np.exp(1j * eps * t)
-            out = np.zeros_like(rho)
-            for rate, coeffs in items:
-                s = (coeffs @ kph) * np.outer(eph, eph.conj())
-                sds = s.conj().T @ s
-                out += rate * (s @ rho @ s.conj().T - 0.5 * (sds @ rho + rho @ sds))
-            return out.transpose(2, 1, 0).ravel()
-
-    else:
-
-        def rhs(t, v):
-            return (static @ v.reshape(nn, -1)).ravel()
+    def rhs(t, v):
+        return (rate_at(t) @ v.reshape(nn, -1)).ravel()
 
     return rhs
 
@@ -459,9 +401,7 @@ def _propagate(rates, basis, block, times, tol):
     max_step = _max_step_abs(tol, period, rates.deltas.size > 0)
     flat, stats = integrate_adaptive(_make_rhs(rates, basis), 0.0, y0.ravel(), t_out,
                                      rtol=tol.rtol, atol=tol.atol, max_step=max_step)
-    eps = basis.quasienergies
-    gaps = np.subtract.outer(eps, eps).ravel(order="F")
-    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, gaps))[:, :, None]
+    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, rates.gaps))[:, :, None]
 
     if jumps:
         pmap = maps[-1]
@@ -500,6 +440,7 @@ class Diagnostics:
     total_time_s: float = 0.0
     max_trace_defect: float = 0.0
     max_hermiticity_defect: float = 0.0
+    fourier_tail: float = 0.0
 
     def as_dict(self):
         return dict(vars(self))
@@ -574,6 +515,7 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
         total_time_s=0.0,
         max_trace_defect=float(np.max(np.abs(traces - 1.0))),
         max_hermiticity_defect=hermiticity_defect(states),
+        fourier_tail=rates.fourier_tail,
     )
     result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
     diag.total_time_s = _time.perf_counter() - t_start

@@ -15,7 +15,7 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
                    build_bichromatic, build_driven_2ls_full,
                    build_driven_2ls_rwa, build_pulse_train,
                    build_rotating_frame_2ls, build_terms, compute_basis,
-                   correlation_g1, dissipator_bruteforce, evolve, evolve_direct,
+                   correlation_g1, evolve, evolve_direct,
                    evolve_to_ness, floquet_decompose, fold,
                    fourier_coefficients, monodromy, pure_state_density,
                    rwa_steady_state, sigma_minus, spectrum, trace_distance,
@@ -23,6 +23,7 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
 from flime.cli import main as cli_main
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states)
+from oracles import dissipator_bruteforce
 
 _EXC = np.diag([0.0, 1.0]).astype(complex)
 

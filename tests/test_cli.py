@@ -58,6 +58,7 @@ class TestEvolveCommand:
         assert meta["library_version"]
         assert "flime" in meta["results"]
         _check_basis_metadata(meta)
+        assert 0.0 < meta["results"]["flime"]["diagnostics"]["fourier_tail"] < 1e-6
 
     def test_both_solvers_and_agreement_report(self, tmp_path):
         cfg = _write_config(tmp_path, _base_config(solver="both"))

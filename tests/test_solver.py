@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import flime.solver as solver_mod
 from flime import (CollapseChannel, LiouvillianSpec, OdeTol, assemble,
-                   build_driven_2ls_rwa, build_terms, compute_basis,
-                   dissipator_bruteforce, enumerate_terms, evolve,
+                   build_driven_2ls_full, build_driven_2ls_rwa, build_terms,
+                   compute_basis, evolve,
                    evolve_direct, fold, pure_state_density, sigma_minus,
                    trace_distance, unfold)
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states, shift_gauge)
+from oracles import (dissipator_bruteforce, enumerate_terms, factored_rhs,
+                     oscillating_terms)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +22,15 @@ def rwa_setup():
     basis = compute_basis(h)
     channel = CollapseChannel(sigma_minus, 0.3)
     return h, basis, channel
+
+
+@pytest.fixture(scope="module")
+def multilevel_n8():
+    """The random n = 8 system of the multilevel benchmark workload."""
+    rng = np.random.default_rng(20240811)
+    random_single_harmonic_system(rng, 4)
+    h, channel = random_single_harmonic_system(rng, 8)
+    return h, compute_basis(h), channel
 
 
 class TestTermEnumeration:
@@ -46,6 +59,23 @@ class TestTermEnumeration:
         from_terms = np.zeros((4, 4), dtype=complex)
         for term in enumerate_terms(basis, channel, k_max=3, coeff_floor=1e-12):
             from_terms += term.weight * np.exp(1j * term.delta * t) * term.superop(2)
+        assert np.max(np.abs(assemble(rates, t) - from_terms)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [5.0, 30.0, np.inf])
+    def test_filtered_store_matches_per_term_superops(self, cutoff):
+        # the windowed pair screening keeps exactly the tuples that pass the
+        # floor and the negligibility test
+        h, channel = random_single_harmonic_system(np.random.default_rng(11), 3)
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=3, secular_cutoff=cutoff)
+        t = 0.53
+        from_terms = np.zeros((9, 9), dtype=complex)
+        kept = 0
+        for term in enumerate_terms(basis, channel, k_max=3, coeff_floor=1e-12):
+            if abs(term.delta) <= 1e-12 * basis.omega or term.negligibility <= cutoff:
+                from_terms += term.weight * np.exp(1j * term.delta * t) * term.superop(3)
+                kept += 1
+        assert kept == rates.kept_static + rates.kept_oscillating
         assert np.max(np.abs(assemble(rates, t) - from_terms)) < 1e-12
 
 
@@ -91,7 +121,7 @@ class TestBuildTerms:
         channel = CollapseChannel(sigma_minus, 0.0)
         rates = build_terms(basis, [channel], k_max=5, secular_cutoff=np.inf)
         assert np.max(np.abs(rates.static_part)) == 0.0
-        for _, sup in rates.oscillating_terms():
+        for _, sup in oscillating_terms(rates):
             assert np.max(np.abs(sup)) == 0.0
 
     def test_dimension_mismatch_rejected(self, rwa_setup):
@@ -109,6 +139,20 @@ class TestBuildTerms:
         assert np.max(np.abs(assemble(both, t)
                              - assemble(first, t) - assemble(second, t))) < 1e-12
 
+    def test_fourier_tail_falls_with_k_max(self):
+        # strong-drive 2LS: the sigma^- tail is about 1e-4 at k_max 6 and at
+        # rounding level from k_max 14 on
+        h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)
+        basis = compute_basis(h)
+        channel = CollapseChannel(sigma_minus, 0.05)
+        built = [build_terms(basis, [channel], k_max=k, secular_cutoff=np.inf, coeff_floor=0.0)
+                 for k in (6, 10, 14)]
+        tails = [r.fourier_tail for r in built]
+        assert tails == sorted(tails, reverse=True)
+        assert tails[0] > 1e-5 and tails[-1] < 1e-11
+        res = evolve(built[0], basis, pure_state_density([1.0, 0.0]), [0.0, h.period])
+        assert res.diagnostics.fourier_tail == tails[0]
+
 
 class TestAssemble:
     def test_single_frequency_periodicity(self, rwa_setup):
@@ -122,7 +166,7 @@ class TestAssemble:
         # use the generic identity R(t) = static + sum exp(i d t) M_d instead
         t = 0.37
         manual = rates.static_part.copy()
-        for d, sup in rates.oscillating_terms():
+        for d, sup in oscillating_terms(rates):
             manual += np.exp(1j * d * t) * sup
         assert np.max(np.abs(assemble(rates, t) - manual)) < 1e-13
         assert delta > 0
@@ -220,33 +264,52 @@ class TestEvolve:
         assert ours.diagnostics.max_trace_defect < 1e-8
         assert ours.diagnostics.max_hermiticity_defect < 1e-8
 
-    def test_dense_and_factored_paths_agree(self, rwa_setup, monkeypatch):
+    def test_harmonic_store_matches_factored_oracle(self, rwa_setup, monkeypatch):
         h, basis, channel = rwa_setup
         rho0 = pure_state_density([1.0, 0.0])
         times = np.linspace(0.0, 3 * h.period, 7)
         tol = OdeTol(rtol=1e-11, atol=1e-13)
-        dense = build_terms(basis, [channel], k_max=6,
+        rates = build_terms(basis, [channel], k_max=6,
                             secular_cutoff=np.inf, coeff_floor=0.0)
-        assert dense._dense is not None
-        monkeypatch.setattr(solver_mod, "_DENSE_LIMIT", 0)
-        lazy = build_terms(basis, [channel], k_max=6,
-                           secular_cutoff=np.inf, coeff_floor=0.0)
-        assert lazy._dense is None and lazy._factored is not None
-        r_dense = evolve(dense, basis, rho0, times, tol=tol)
-        r_lazy = evolve(lazy, basis, rho0, times, tol=tol)
-        dist = max(trace_distance(a, b) for a, b in zip(r_dense.states, r_lazy.states))
+        oracle = factored_rhs(rates, basis)
+        rhs = solver_mod._make_rhs(rates, basis)
+        v = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 4))
+        for t in [0.0, 0.37, 2.9]:
+            assert np.max(np.abs(rhs(t, v) - oracle(t, v))) < 1e-14
+        r_store = evolve(rates, basis, rho0, times, tol=tol)
+        monkeypatch.setattr(solver_mod, "_make_rhs", factored_rhs)
+        r_oracle = evolve(rates, basis, rho0, times, tol=tol)
+        dist = max(trace_distance(a, b) for a, b in zip(r_store.states, r_oracle.states))
         assert dist < 1e-11
-        # lazily materialized groups match the dense ones
-        for (d1, s1), (d2, s2) in zip(dense.oscillating_terms(), lazy.oscillating_terms()):
-            assert d1 == pytest.approx(d2)
-            assert np.max(np.abs(s1 - s2)) < 1e-14
 
-    def test_lazy_incomplete_set_rejected(self, rwa_setup, monkeypatch):
-        _, basis, channel = rwa_setup
-        monkeypatch.setattr(solver_mod, "_DENSE_LIMIT", 0)
-        with pytest.raises(ValueError, match="dense storage budget"):
-            build_terms(basis, [channel], k_max=6, secular_cutoff=np.inf,
-                        coeff_floor=1e-12)
+    @pytest.mark.parametrize("cutoff", [np.inf, 10.0])
+    def test_large_filtered_set_builds(self, multilevel_n8, cutoff):
+        # floor 1e-12 makes both sets filtered; they once exceeded a dense
+        # storage budget and raised
+        h, basis, channel = multilevel_n8
+        rates = build_terms(basis, [channel], k_max=10, secular_cutoff=cutoff,
+                            coeff_floor=1e-12)
+        assert rates.kept_oscillating > 0 and rates.candidate_terms < (64 * 21) ** 2
+        rho0 = random_density(np.random.default_rng(8), 8)
+        times = np.linspace(0.0, 2 * h.period, 9)
+        tol = OdeTol(rtol=1e-9, atol=1e-12)
+        ours = evolve(rates, basis, rho0, times, tol=tol)
+        ref = evolve_direct(LiouvillianSpec(h, [channel]), rho0, times, tol=tol)
+        dist = max(trace_distance(a, b) for a, b in zip(ours.states, ref.states))
+        assert dist < (1e-6 if np.isinf(cutoff) else 0.2)
+
+    @pytest.mark.parametrize("cutoff", [np.inf, 10.0])
+    def test_build_memory_bounded(self, multilevel_n8, cutoff):
+        # the M x M pair table (M = n^2 (2 k_max + 1) = 1344) peaked at
+        # 384 MB complete and 84 MB at cutoff 10
+        _, basis, channel = multilevel_n8
+        tracemalloc.start()
+        try:
+            build_terms(basis, [channel], k_max=10, secular_cutoff=cutoff, coeff_floor=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_gauge_shift_invariance(self, rwa_setup):
         h, basis, channel = rwa_setup
