@@ -76,8 +76,8 @@ class FlimePropagator:
         taus = np.asarray(taus, dtype=float)
         if self._taus is None or not np.array_equal(taus, self._taus):
             n2 = self.basis.dim ** 2
-            lab, images, _ = _propagate(self.rates, self.basis, np.eye(n2, dtype=complex),
-                                        np.append(taus, self.period), self.tol)
+            lab, images, *_ = _propagate(self.rates, self.basis, np.eye(n2, dtype=complex),
+                                         np.append(taus, self.period), self.tol)
             self._taus = taus.copy()
             self._lab_maps = lab[:-1]
             self._period_map = images[-1]
@@ -140,6 +140,10 @@ def evolve_to_ness(propagator, rho0, observable, conv_tol=1e-8,
     """
     if conv_tol <= 0.0:
         raise ValueError("conv_tol must be positive")
+    if max_periods < 1:
+        raise ValueError("max_periods must be at least 1")
+    if samples_per_period < 1:
+        raise ValueError("samples_per_period must be at least 1")
     observable = np.asarray(observable, dtype=complex)
     period = propagator.period
     taus = np.arange(samples_per_period) * (period / samples_per_period)
@@ -183,8 +187,12 @@ def correlation_g1(system, ness_state, lower_op, tau_grid, tol=None):
 
     ``system`` selects the propagator: a :class:`LiouvillianSpec` for the
     direct generator (default choice for spectra) or a
-    ``(RateTermSet, FloquetBasis)`` pair for the rate-matrix generator.
-    ``g1(0)`` equals the excited population of the steady state when
+    ``(RateTermSet, FloquetBasis)`` pair for the rate-matrix generator.  The
+    latter integrates one period and jumps whole periods; when ``tau_grid``
+    has many distinct phases tau mod T, they are Chebyshev-interpolated from
+    exact samples at a few nodes, with the coefficient tail checked against
+    ``tol`` (see ``solver._propagate``), so the integrator does not stop at
+    every tau.  ``g1(0)`` equals the excited population of the steady state when
     ``lower_op`` is the lowering operator.
     """
     if tol is None:
@@ -203,7 +211,7 @@ def correlation_g1(system, ness_state, lower_op, tau_grid, tol=None):
         rates, basis = system
         modes0 = basis.modes0
         v0 = unfold(modes0.conj().T @ perturbed @ modes0)
-        lab, _, _ = _propagate(rates, basis, v0[:, None], tau_grid, tol)
+        lab, *_ = _propagate(rates, basis, v0[:, None], tau_grid, tol)
         mats = lab[..., 0]
     else:
         raise TypeError("system must be a LiouvillianSpec or a (RateTermSet, FloquetBasis) pair")

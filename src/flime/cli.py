@@ -85,6 +85,18 @@ def _is_real(value):
             and bool(np.isfinite(value)))
 
 
+def _check_numbers(section, where, positive=(), integers=()):
+    """Reject a given key of ``positive`` that is not a positive number, and
+    one of ``integers``, pairs (key, least), that is not an integer >= least."""
+    for key in positive:
+        if key in section and not (_is_real(section[key]) and section[key] > 0):
+            raise ConfigError(f"{where}.{key} must be a positive number, got {section[key]!r}")
+    for key, least in integers:
+        value = section.get(key, least)
+        if not (_is_real(value) and value == int(value) and value >= least):
+            raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
+
+
 def _number(value, unit, where):
     """A config number, optionally tagged: {"value": x, "unit": "GHz"}."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -213,19 +225,15 @@ class RunConfig:
         ness = raw.get("ness", {})
         _check_keys(ness, {"conv_tol", "max_periods", "samples_per_period", "observable"},
                     "ness")
+        _check_numbers(ness, "ness", positive=("conv_tol",),
+                       integers=(("max_periods", 1), ("samples_per_period", 1)))
         self.ness = ness
 
         spec_raw = raw.get("spectrum", {})
         _check_keys(spec_raw, {"tau_max", "n_tau", "window", "n_freq", "resolution"},
                     "spectrum")
-        for key in ("tau_max", "resolution"):
-            if key in spec_raw and not (_is_real(spec_raw[key]) and spec_raw[key] > 0):
-                raise ConfigError(
-                    f"spectrum.{key} must be a positive number, got {spec_raw[key]!r}")
-        for key, least in (("n_tau", 2), ("n_freq", 1)):
-            value = spec_raw.get(key, least)
-            if not (_is_real(value) and value == int(value) and value >= least):
-                raise ConfigError(f"spectrum.{key} must be an integer >= {least}, got {value!r}")
+        _check_numbers(spec_raw, "spectrum", positive=("tau_max", "resolution"),
+                       integers=(("n_tau", 2), ("n_freq", 1)))
         if spec_raw.get("window", "hann") not in _WINDOWS:
             raise ConfigError(
                 f"spectrum.window must be one of {list(_WINDOWS)}, got {spec_raw['window']!r}")

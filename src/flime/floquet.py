@@ -32,6 +32,9 @@ BASIS_TOL = OdeTol(rtol=1e-10, atol=1e-12)
 _UNITARY_TOL = 1e-9
 _REUNITARIZE_TOL = 1e-6
 _DEGENERACY_REL_TOL = 1e-10
+# Mode Fourier frequencies are split as f = _SPLIT * q + r, 0 <= r < _SPLIT, so
+# that interpolating the modes takes few exponentials (see modes_at_many).
+_SPLIT = 16
 
 
 def brillouin_fold(value, omega):
@@ -71,15 +74,19 @@ class FloquetBasis:
     propagators: np.ndarray
     grid_monodromy: np.ndarray
     closure_defect: float = 0.0
-    _mode_coeffs: np.ndarray = field(init=False, repr=False)
-    _coeff_freqs: np.ndarray = field(init=False, repr=False)
+    _coarse_freqs: np.ndarray = field(init=False, repr=False)
+    _split_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_samples = self.mode_grid.shape[0]
+        n_samples, n, _ = self.mode_grid.shape
         coeffs = np.fft.fft(self.mode_grid, axis=0) / n_samples
-        freqs = np.fft.fftfreq(n_samples, d=1.0 / n_samples)
-        object.__setattr__(self, "_mode_coeffs", coeffs)
-        object.__setattr__(self, "_coeff_freqs", freqs)
+        freqs = np.rint(np.fft.fftfreq(n_samples, d=1.0 / n_samples)).astype(int)
+        coarse, fine = np.divmod(freqs, _SPLIT)
+        coarse, coarse_index = np.unique(coarse, return_inverse=True)
+        split = np.zeros((coarse.size, _SPLIT, n * n), dtype=complex)
+        split[coarse_index, fine] = coeffs.reshape(n_samples, n * n)
+        object.__setattr__(self, "_coarse_freqs", _SPLIT * coarse)
+        object.__setattr__(self, "_split_coeffs", split.reshape(coarse.size, -1))
 
     @property
     def dim(self):
@@ -103,13 +110,21 @@ class FloquetBasis:
         return self.modes_at_many([float(t)])[0]
 
     def modes_at_many(self, times):
-        """Mode matrices at an array of times, shape (len(times), N, N)."""
+        """Mode matrices at an array of times, shape (len(times), N, N).
+
+        The Fourier coefficients are stored by f = 16 q + r, 0 <= r < 16, so
+        sum_f exp(1j*omega*tau*f) c_f is a product with the coarse phases
+        exp(1j*omega*tau*16 q) followed by a sum over the fine phases
+        exp(1j*omega*tau*r): n_samples / 16 + 16 exponentials per time
+        instead of n_samples, and no (times x n_samples) table.
+        """
         times = np.asarray(times, dtype=float)
-        tau = np.mod(times, self.period)
-        phases = np.exp(1j * self.omega * np.outer(tau, self._coeff_freqs))
+        wt = self.omega * np.mod(times, self.period)
+        coarse = np.exp(1j * np.outer(wt, self._coarse_freqs))
+        fine = np.exp(1j * np.outer(wt, np.arange(_SPLIT)))
         n = self.dim
-        flat = phases @ self._mode_coeffs.reshape(self.n_samples, n * n)
-        return flat.reshape(times.size, n, n)
+        partial = (coarse @ self._split_coeffs).reshape(times.size, _SPLIT, n * n)
+        return (fine[:, None, :] @ partial).reshape(times.size, n, n)
 
     def floquet_states_at(self, t):
         """Floquet state matrix W(t), columns |phi_b(t)> exp(-1j*eps_b*t)."""

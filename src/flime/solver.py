@@ -25,7 +25,11 @@ by the basis: the generator is the pure dissipator, and lab-frame states are
 reconstructed as ``W(t) rho W(t)^dag`` with ``W(t)`` the Floquet state
 matrix.  This makes the closed-system limit exact by construction.  Rotated
 by the quasienergy phases, the generator is exactly T-periodic, so long
-evolutions integrate one period and then jump whole periods.
+evolutions integrate one period and then jump whole periods.  The integrator
+lands exactly on each of its stops; when the outputs have more distinct
+phases than a Chebyshev grid needs, it stops at the grid's nodes only and the
+phases are interpolated from those exact samples, with the Chebyshev tail
+checked against the tolerance.
 """
 
 import time as _time
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .floquet import fourier_coefficients
-from .integrate import OdeTol, integrate_adaptive
+from .integrate import IntegratorStats, OdeTol, integrate_adaptive
 from .qops import check_density_matrix, hermiticity_defect, unfold
 
 __all__ = [
@@ -52,6 +56,9 @@ _GROUP_REL_TOL = 1e-12
 # Output times whose phases t mod T differ by at most this many ulps of the
 # largest t / T share one phase of the one-period map.
 _PHASE_ULPS = 64
+# Outputs with more distinct stops than this are interpolated from samples at
+# this many Chebyshev-Lobatto nodes, raised to 2N - 1 while the tail is too large.
+_CHEB_NODES = 65
 # Candidate pairs of a filtered set are screened this many at a time, which
 # bounds the working memory of build_terms independently of the pair count.
 _PAIR_BLOCK = 1 << 15
@@ -372,21 +379,97 @@ def _split_phases(times, period):
     return periods.astype(int), phases, index
 
 
+def _groups(keys):
+    """Positions of each value 0, 1, ... of ``keys``, as a list of index arrays."""
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(np.bincount(keys))[:-1])
+
+
+def _chebyshev_nodes(span, count):
+    """``count`` Chebyshev-Lobatto nodes of [0, span], increasing; both ends exact."""
+    return 0.5 * span * (1.0 - np.cos(np.pi * np.arange(count) / (count - 1)))
+
+
+def _chebyshev_tail(samples):
+    """Largest Chebyshev coefficient magnitude over the last quarter of the
+    degrees, and over all degrees, of samples at Chebyshev-Lobatto nodes
+    (axis 0).  The coefficients are one FFT of the even extension."""
+    deg = samples.shape[0] - 1
+    flat = samples.reshape(deg + 1, -1)
+    coeffs = np.abs(np.fft.fft(np.concatenate((flat, flat[-2:0:-1])), axis=0)[:deg + 1])
+    coeffs = coeffs.max(axis=1) / (2 * deg)
+    coeffs[1:deg] *= 2.0
+    return coeffs[3 * deg // 4:].max(), coeffs.max()
+
+
+def _barycentric(nodes, x):
+    """Matrix taking values at Chebyshev-Lobatto ``nodes`` to the values of
+    their interpolating polynomial at ``x``; a point on a node takes its value."""
+    weights = (-1.0) ** np.arange(nodes.size)
+    weights[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes
+    on_node = diff == 0.0
+    with np.errstate(divide="ignore"):
+        terms = weights / diff
+    hit = on_node.any(axis=1)
+    terms[hit] = on_node[hit]
+    return terms / terms.sum(axis=1, keepdims=True)
+
+
+def _integrate_stops(rhs, y0, stops, tol, max_step):
+    """Solution of dv/dt = rhs(t, v), v(0) = y0 (1-D), at the increasing ``stops``.
+
+    v(t) is analytic on [0, stops[-1]], because R(t) is a finite sum of
+    exponentials.  With more stops than ``_CHEB_NODES`` the integrator stops
+    only at N Chebyshev-Lobatto nodes of that span, and the stops are
+    interpolated from those exact samples.  N is accepted when the largest
+    Chebyshev coefficient in the last quarter is at most
+    ``rtol * max|c| + atol``, else doubled as 2N - 1; once N reaches the
+    number of stops the integrator stops at each of them.  Returns
+    ``(values, stats, nodes, tail)``: stats summed over every attempt, the
+    accepted N (0 for exact stops) and its tail relative to max|c|.
+    """
+    total = IntegratorStats()
+
+    def run(t_out):
+        out, stats = integrate_adaptive(rhs, 0.0, y0, t_out, rtol=tol.rtol, atol=tol.atol,
+                                        max_step=max_step)
+        total.steps_accepted += stats.steps_accepted
+        total.steps_rejected += stats.steps_rejected
+        total.rhs_evals += stats.rhs_evals
+        return out
+
+    count = _CHEB_NODES
+    while count < stops.size:
+        nodes = _chebyshev_nodes(stops[-1], count)
+        samples = run(nodes)
+        tail, scale = _chebyshev_tail(samples)
+        if tail <= tol.rtol * scale + tol.atol:
+            values = _barycentric(nodes, stops) @ samples
+            return values, total, count, tail / scale if scale else 0.0
+        count = 2 * count - 1
+    return run(stops), total, 0, 0.0
+
+
 def _propagate(rates, basis, block, times, tol):
     """Propagate a block of Floquet-picture supervectors by the one-period map.
 
     In the rotated frame rho~[a, b] = exp(-1j*(eps_a - eps_b)*t) rho_F[a, b]
     every kept rate tuple oscillates at (k - k') * omega only, so the frame's
     propagator is T-periodic: Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j.  One
-    period of the n^2 x n^2 identity is integrated, stopping at each distinct
-    phase tau; later periods follow by powers of P = Phi~(T).  When every time
-    lies in the first period the block itself is integrated instead.
+    period of the n^2 x n^2 identity is integrated to every distinct phase
+    tau and to T; later periods follow by powers of P = Phi~(T).  When every
+    time lies in the first period the block itself is integrated instead, up
+    to the largest phase.  Many phases are Chebyshev-interpolated from exact
+    samples at a few nodes (see :func:`_integrate_stops`); T is a node, so P
+    is always the integrated matrix.
 
     ``block`` has shape (n^2, B) and holds supervectors at t = 0, where both
-    frames agree.  Returns ``(lab, images, stats)``: the lab-frame matrices
-    M(tau) rho~ M(tau)^dag of each column, shape (len(times), n, n, B), the
-    rotated-frame supervectors, shape (len(times), n^2, B), and the
-    integrator statistics of the one-period integration.
+    frames agree.  Returns ``(lab, images, stats, (nodes, tail))``: the
+    lab-frame matrices M(tau) rho~ M(tau)^dag of each column, shape
+    (len(times), n, n, B), the rotated-frame supervectors, shape
+    (len(times), n^2, B), the integrator statistics of the one-period
+    integration, and the Chebyshev node count (0 for exact stops) and
+    relative tail.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
@@ -399,8 +482,8 @@ def _propagate(rates, basis, block, times, tol):
     y0 = np.eye(nn, dtype=complex) if jumps else block
     t_out = np.append(phases, period) if jumps else phases
     max_step = _max_step_abs(tol, period, rates.deltas.size > 0)
-    flat, stats = integrate_adaptive(_make_rhs(rates, basis), 0.0, y0.ravel(), t_out,
-                                     rtol=tol.rtol, atol=tol.atol, max_step=max_step)
+    flat, stats, nodes, tail = _integrate_stops(_make_rhs(rates, basis), y0.ravel(), t_out,
+                                                tol, max_step)
     maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, rates.gaps))[:, :, None]
 
     if jumps:
@@ -413,17 +496,21 @@ def _propagate(rates, basis, block, times, tol):
                 w = pmap @ w
             j = target
             powers[k] = w
+        # One product per phase or per period, whichever are fewer.
         images = np.empty((times.size,) + block.shape, dtype=complex)
-        by_phase = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
-        for p, sel in enumerate(by_phase):
-            images[sel] = maps[p] @ powers[slot[sel]]
+        if phases.size <= needed.size:
+            for p, sel in enumerate(_groups(index)):
+                images[sel] = maps[p] @ powers[slot[sel]]
+        else:
+            for k, sel in enumerate(_groups(slot)):
+                images[sel] = maps[index[sel]] @ powers[k]
     else:
         images = maps[index]
 
     modes = basis.modes_at_many(phases)[index]
     rho = images.reshape(times.size, n, n, -1)
     lab = np.einsum("tai,tmic,tdm->tadc", modes, rho, modes.conj(), optimize=True)
-    return lab, images, stats
+    return lab, images, stats, (nodes, tail)
 
 
 @dataclass(eq=False)
@@ -441,6 +528,8 @@ class Diagnostics:
     max_trace_defect: float = 0.0
     max_hermiticity_defect: float = 0.0
     fourier_tail: float = 0.0
+    phase_nodes: int = 0
+    phase_tail: float = 0.0
 
     def as_dict(self):
         return dict(vars(self))
@@ -475,7 +564,9 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
     basis and propagated by the one-period map (see :func:`_propagate`) to
     ``times`` (strictly increasing, nonnegative), and lab-frame states are
     reconstructed with the Floquet mode matrix.  The step and RHS counts in
-    the diagnostics are those of the one-period integration.
+    the diagnostics are those of the one-period integration;
+    ``phase_nodes`` and ``phase_tail`` are its Chebyshev node count (0 when
+    the integrator stopped at every phase) and relative coefficient tail.
     """
     t_start = _time.perf_counter()
     if tol is None:
@@ -491,7 +582,7 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
 
     v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
     t_solve = _time.perf_counter()
-    lab, images, stats = _propagate(rates, basis, v0[:, None], times, tol)
+    lab, images, stats, (nodes, tail) = _propagate(rates, basis, v0[:, None], times, tol)
     solution_time = _time.perf_counter() - t_solve
 
     states = lab[..., 0]
@@ -516,6 +607,8 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
         max_trace_defect=float(np.max(np.abs(traces - 1.0))),
         max_hermiticity_defect=hermiticity_defect(states),
         fourier_tail=rates.fourier_tail,
+        phase_nodes=nodes,
+        phase_tail=float(tail),
     )
     result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
     diag.total_time_s = _time.perf_counter() - t_start

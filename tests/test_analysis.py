@@ -94,6 +94,12 @@ class TestEvolveToNess:
         with pytest.raises(ValueError, match="conv_tol"):
             evolve_to_ness(prop, pure_state_density([1.0, 0.0]), _EXC, conv_tol=0.0)
 
+    @pytest.mark.parametrize("key", ["max_periods", "samples_per_period"])
+    def test_period_and_sample_counts_validated(self, key):
+        prop = _damped_static_propagator()
+        with pytest.raises(ValueError, match=key):
+            evolve_to_ness(prop, pure_state_density([1.0, 0.0]), _EXC, **{key: 0})
+
 
 class TestCorrelation:
     def test_free_decay_coherence(self):

@@ -58,7 +58,11 @@ class TestEvolveCommand:
         assert meta["library_version"]
         assert "flime" in meta["results"]
         _check_basis_metadata(meta)
-        assert 0.0 < meta["results"]["flime"]["diagnostics"]["fourier_tail"] < 1e-6
+        diagnostics = meta["results"]["flime"]["diagnostics"]
+        assert 0.0 < diagnostics["fourier_tail"] < 1e-6
+        # 100 phases per period: interpolated from Chebyshev nodes
+        assert diagnostics["phase_nodes"] >= 65
+        assert 0.0 <= diagnostics["phase_tail"] <= 1e-8
 
     def test_both_solvers_and_agreement_report(self, tmp_path):
         cfg = _write_config(tmp_path, _base_config(solver="both"))
@@ -143,6 +147,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "spectrum.window" in err and "hamming" in err
         assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples_per_period", 0), ("samples_per_period", 2.5), ("max_periods", 0),
+        ("max_periods", "many"), ("conv_tol", -1), ("conv_tol", 0),
+    ])
+    def test_bad_ness_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = _write_config(tmp_path, _base_config(solver="reference", ness={key: value}))
+        assert main(["ness", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"ness.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "ness_cycle.csv").exists()
 
     def test_seed_key_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _base_config(seed=0))

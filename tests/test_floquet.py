@@ -194,6 +194,23 @@ class TestModeGrid:
             expected = u @ basis.modes0 * np.exp(1j * basis.quasienergies * t)[None, :]
             assert np.max(np.abs(basis.modes_at(t) - expected)) < 1e-8
 
+    @pytest.mark.parametrize("n_samples", [64, 100, 1024])
+    @pytest.mark.parametrize("n_times", [1, 10, 2048])
+    def test_split_interpolation_matches_direct_table(self, rng, n_samples, n_times):
+        n, omega = 3, 10.0
+        grid = rng.normal(size=(n_samples, n, n)) + 1j * rng.normal(size=(n_samples, n, n))
+        eye = np.eye(n, dtype=complex)
+        basis = floquet.FloquetBasis(
+            omega=omega, quasienergies=np.zeros(n), modes0=eye,
+            grid_times=np.arange(n_samples) * (2 * np.pi / omega / n_samples),
+            mode_grid=grid, propagators=np.broadcast_to(eye, grid.shape), grid_monodromy=eye)
+        times = rng.uniform(0.0, 60.0, n_times)
+        coeffs = np.fft.fft(grid, axis=0) / n_samples
+        freqs = np.fft.fftfreq(n_samples, d=1.0 / n_samples)
+        table = np.exp(1j * omega * np.outer(np.mod(times, basis.period), freqs))
+        direct = (table @ coeffs.reshape(n_samples, -1)).reshape(n_times, n, n)
+        assert np.max(np.abs(basis.modes_at_many(times) - direct)) <= 1e-12
+
     def test_floquet_state_matrix(self):
         # columns are modes carrying the quasienergy phase, so W(t) equals
         # the propagator applied to the t = 0 modes

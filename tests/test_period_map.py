@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import flime.solver as solver_mod
-from flime import (CollapseChannel, FlimePropagator, OdeTol,
+from flime import (CollapseChannel, FlimePropagator, OdeTol, build_bichromatic,
                    build_driven_2ls_full, build_driven_2ls_rwa, build_terms,
-                   compute_basis, evolve, pure_state_density, sigma_minus,
-                   unfold)
+                   compute_basis, correlation_g1, evolve, pure_state_density,
+                   sigma_minus, unfold)
 from flime.integrate import integrate_adaptive
 from flime.qops import trace_distance
 from conftest import random_density, random_single_harmonic_system
@@ -53,6 +53,11 @@ def _grid(name, period):
         return np.sort(rng.uniform(0.0, 7.3 * period, 15))
     if name == "first-period":
         return np.concatenate(([0.0], np.sort(rng.uniform(0.0, period, 6))))
+    # more distinct phases than Chebyshev nodes: interpolated, not stopped at
+    if name == "dense":
+        return np.sort(rng.uniform(0.0, 7.3 * period, 400))
+    if name == "dense-first-period":
+        return np.sort(rng.uniform(0.0, period, 200))
     return np.linspace(2.5 * period, 12.5 * period, 21)
 
 
@@ -62,7 +67,8 @@ def system(request):
     return h, compute_basis(h), channel, rho0, filtered_cutoff
 
 
-@pytest.mark.parametrize("grid", ["uniform", "irregular", "first-period", "after-zero"])
+@pytest.mark.parametrize("grid", ["uniform", "irregular", "first-period", "after-zero",
+                                  "dense", "dense-first-period"])
 @pytest.mark.parametrize("rate_set", ["complete", "filtered", "static"])
 def test_matches_full_span_stepping(system, rate_set, grid):
     h, basis, channel, rho0, filtered_cutoff = system
@@ -81,6 +87,7 @@ def test_matches_full_span_stepping(system, rate_set, grid):
     assert max(trace_distance(a, b) for a, b in zip(ours.states, lab)) <= 1e-9
     # store_floquet still returns Floquet-picture (not rotated-frame) states
     assert np.max(np.abs(ours.floquet_states - rho_f)) <= 1e-9
+    assert (ours.diagnostics.phase_nodes > 0) == grid.startswith("dense")
 
 
 def test_phases_snap_to_the_grid():
@@ -123,3 +130,49 @@ def test_propagator_cycle_matches_evolve(system):
     ref = evolve(rates, basis, rho0, times, tol=TOL).states.reshape(len(checked), taus.size, *rho0.shape)
     for k, n in enumerate(checked):
         assert max(trace_distance(a, b) for a, b in zip(cycles[n], ref[k])) <= 1e-9
+
+
+def _bichromatic():
+    """The bichromatic system of the ness-spectrum benchmark (T = 0.628)."""
+    h = build_bichromatic(10.0, -20.0, 20.0, 6.0)
+    basis = compute_basis(h)
+    rates = build_terms(basis, [CollapseChannel(sigma_minus, 1.0)], k_max=14,
+                        secular_cutoff=np.inf, coeff_floor=0.0)
+    return rates, basis
+
+
+def _exact_stops(monkeypatch):
+    """Make every output phase a stop of the integrator."""
+    monkeypatch.setattr(solver_mod, "_CHEB_NODES", 1 << 30)
+
+
+def test_many_phases_take_few_steps(monkeypatch):
+    rates, basis = _bichromatic()
+    tol = OdeTol(rtol=1e-9, atol=1e-12)
+    taus = np.linspace(0.0, 60.0, 2048)
+    state = pure_state_density([0.6, 0.8j])
+    v0 = unfold(basis.modes0.conj().T @ state @ basis.modes0)[:, None]
+    _, _, stats, (nodes, tail) = solver_mod._propagate(rates, basis, v0, taus, tol)
+    # stopping at each of the 2048 phases took at least 2048 steps
+    assert stats.steps_accepted < 400
+    assert nodes > 0 and tail <= tol.rtol
+    g1 = correlation_g1((rates, basis), state, sigma_minus, taus, tol=tol)
+    _exact_stops(monkeypatch)
+    exact = correlation_g1((rates, basis), state, sigma_minus, taus, tol=tol)
+    assert np.max(np.abs(g1 - exact)) <= 1e-9
+
+
+def test_failed_tail_falls_back_to_exact_stops(monkeypatch):
+    rates, basis = _bichromatic()
+    tol = OdeTol(rtol=1e-13, atol=1e-15)
+    # 101 stops: more than 65 nodes, fewer than the 129 of the next try
+    taus = np.linspace(0.0, 6.0, 100)
+    block = np.eye(4, dtype=complex)
+    lab, images, stats, (nodes, tail) = solver_mod._propagate(rates, basis, block, taus, tol)
+    assert (nodes, tail) == (0, 0.0)
+    _exact_stops(monkeypatch)
+    lab_exact, images_exact, stats_exact, _ = solver_mod._propagate(rates, basis, block, taus, tol)
+    np.testing.assert_array_equal(lab, lab_exact)
+    np.testing.assert_array_equal(images, images_exact)
+    # the counts include the rejected 65-node attempt
+    assert stats.rhs_evals > stats_exact.rhs_evals
