@@ -85,6 +85,10 @@ def _is_real(value):
             and bool(np.isfinite(value)))
 
 
+def _is_integer(value):
+    return _is_real(value) and value == int(value)
+
+
 def _check_numbers(section, where, positive=(), integers=()):
     """Reject a given key of ``positive`` that is not a positive number, and
     one of ``integers``, pairs (key, least), that is not an integer >= least."""
@@ -93,7 +97,7 @@ def _check_numbers(section, where, positive=(), integers=()):
             raise ConfigError(f"{where}.{key} must be a positive number, got {section[key]!r}")
     for key, least in integers:
         value = section.get(key, least)
-        if not (_is_real(value) and value == int(value) and value >= least):
+        if not (_is_integer(value) and value >= least):
             raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
 
 
@@ -187,8 +191,16 @@ class RunConfig:
         default_samples = 1024 if kind == "pulse_train" else 256
         default_kmax = (int(system.get("n_harmonics", 40)) + 10
                         if kind == "pulse_train" else 20)
-        self.n_samples = int(raw.get("n_samples", default_samples))
-        self.k_max = int(raw.get("k_max", default_kmax))
+        n_samples = raw.get("n_samples", default_samples)
+        if not (_is_integer(n_samples) and n_samples >= 2
+                and int(n_samples) & (int(n_samples) - 1) == 0):
+            raise ConfigError(f"n_samples must be a power of two >= 2, got {n_samples!r}")
+        self.n_samples = int(n_samples)
+        k_max = raw.get("k_max", default_kmax)
+        if not (_is_integer(k_max) and 0 <= k_max < self.n_samples / 2):
+            raise ConfigError(f"k_max must be an integer with 0 <= k_max < n_samples/2 = "
+                              f"{self.n_samples // 2}, got {k_max!r}")
+        self.k_max = int(k_max)
 
         tol_raw = raw.get("tolerances", {})
         _check_keys(tol_raw, {"rtol", "atol", "max_step"}, "tolerances")
@@ -216,6 +228,7 @@ class RunConfig:
 
         evo = raw.get("evolution", {})
         _check_keys(evo, {"times", "n_periods", "samples_per_period"}, "evolution")
+        _check_numbers(evo, "evolution", integers=(("n_periods", 1), ("samples_per_period", 1)))
         self.evolution = evo
 
         self.initial_state = raw.get("initial_state", "ground")
@@ -290,8 +303,6 @@ class RunConfig:
         if "times" in evo:
             return np.asarray(evo["times"], dtype=float)
         n_periods = int(evo.get("n_periods", 10))
-        if n_periods < 1:
-            raise ConfigError("evolution.n_periods must be at least 1")
         spp = int(evo.get("samples_per_period", 100))
         return np.linspace(0.0, n_periods * period, n_periods * spp + 1)
 

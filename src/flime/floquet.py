@@ -35,6 +35,10 @@ _DEGENERACY_REL_TOL = 1e-10
 # Mode Fourier frequencies are split as f = _SPLIT * q + r, 0 <= r < _SPLIT, so
 # that interpolating the modes takes few exponentials (see modes_at_many).
 _SPLIT = 16
+# Sub-intervals of the monodromy block.  Not a power of two, so the partition
+# never coincides with a mode grid's and closure_defect always compares two
+# different integrations.
+_MONODROMY_SLICES = 24
 
 
 def brillouin_fold(value, omega):
@@ -163,28 +167,42 @@ class FourierOperator:
         return np.sum(self.coeffs[alpha, beta, :] * np.exp(1j * self.k_values * self.omega * t))
 
 
-def _propagator_rhs(hamiltonian):
-    n = hamiltonian.dim
+def _running_product(h_block, n, n_sub, period, tol):
+    """U(t_j, 0) at t_j = j T / n_sub, j = 0 .. n_sub, shape (n_sub + 1, n, n).
 
-    def rhs(t, y):
-        return (-1j * hamiltonian(t) @ y.reshape(n, n)).ravel()
+    The sub-intervals [t_j, t_j + T/n_sub] are integrated side by side as one
+    (n_sub, n*n) block from s = 0 to T/n_sub, whose step error is the worst
+    sub-interval's; ``h_block(s)`` gives H(t_j + s) for all j, shape
+    (n_sub, n, n).  A running product of the sub-interval propagators V_j
+    gives U(t_{j+1}) = V_j U(t_j).
+    """
+    def rhs(s, y):
+        return -1j * (h_block(s) @ y.reshape(n_sub, n, n)).reshape(n_sub, n * n)
 
-    return rhs
+    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_sub, 1))
+    out, _ = integrate_adaptive(rhs, 0.0, y0, [period / n_sub], rtol=tol.rtol, atol=tol.atol)
+    running = np.empty((n_sub + 1, n, n), dtype=complex)
+    running[0] = np.eye(n)
+    for j, v in enumerate(out[0].reshape(n_sub, n, n)):
+        running[j + 1] = v @ running[j]
+    return running
 
 
 def monodromy(hamiltonian, tol=BASIS_TOL):
     """One-period propagator U(T, 0) of a periodic Hamiltonian.
 
-    Integrates dU/dt = -1j H(t) U from the identity.  A unitarity defect in
-    [1e-9, 1e-6] is repaired by polar decomposition; beyond that the
-    integration is considered failed.
+    Integrates dU/dt = -1j H(t) U over 24 sub-intervals [t_j, t_j + T/24]
+    of the period, stepped side by side as one block, with H(t_j + s) for all
+    j from one pointwise call ``hamiltonian(t_j + s)`` on the array of
+    times; the running product of their propagators is U(T, 0).  A
+    unitarity defect in [1e-9, 1e-6] is repaired by polar decomposition;
+    beyond that the integration is considered failed.
     """
     n = hamiltonian.dim
     period = hamiltonian.period
-    y0 = np.eye(n, dtype=complex).ravel()
-    out, _ = integrate_adaptive(_propagator_rhs(hamiltonian), 0.0, y0, [period],
-                                rtol=tol.rtol, atol=tol.atol)
-    u = out[0].reshape(n, n)
+    starts = np.arange(_MONODROMY_SLICES) * (period / _MONODROMY_SLICES)
+    u = _running_product(lambda s: hamiltonian(starts + s), n, _MONODROMY_SLICES,
+                         period, tol)[-1]
     defect = unitarity_defect(u)
     if defect > _REUNITARIZE_TOL:
         raise ValueError(f"monodromy unitarity defect {defect:.3e} exceeds {_REUNITARIZE_TOL:.0e}")
@@ -246,33 +264,22 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     """Floquet modes and propagators on a uniform grid over one period.
 
     The ``n_samples`` (a power of two) sub-intervals [t_j, t_j + T/N] are
-    integrated side by side as one (N, n*n) block, whose step error is the
-    worst sub-interval's, from s = 0 to T/N; H(t_j + s) for all j comes from
-    one inverse FFT of the harmonic table
-    (:meth:`PeriodicHamiltonian.on_grid`).  A running product of the
-    sub-interval propagators V_j gives U(t_{j+1}) = V_j U(t_j), up to
+    integrated side by side as one (N, n*n) block, like :func:`monodromy`'s
+    sub-intervals, but with H(t_j + s) for all j from one inverse FFT of the
+    harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The running
+    product of the sub-interval propagators gives the grid and a second
     U(T).  ``closure_defect`` compares that U(T) with ``modes0``, which come
-    from the separate sequential integration of :func:`monodromy`, so it
-    cross-checks two integrations.
+    from :func:`monodromy`'s integration over a different partition (never a
+    power of two) with the pointwise H(t), so it cross-checks two
+    integrations.
     """
     if n_samples < 2 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError("n_samples must be a power of two (and at least 2)")
     n = hamiltonian.dim
     period = hamiltonian.period
-    step = period / n_samples
-    times = np.arange(n_samples) * step
-
-    def rhs(s, y):
-        return -1j * (hamiltonian.on_grid(n_samples, s)
-                      @ y.reshape(n_samples, n, n)).reshape(n_samples, n * n)
-
-    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_samples, 1))
-    out, _ = integrate_adaptive(rhs, 0.0, y0, [step], rtol=tol.rtol, atol=tol.atol)
-    sub_steps = out[0].reshape(n_samples, n, n)
-    running = np.empty((n_samples + 1, n, n), dtype=complex)
-    running[0] = np.eye(n)
-    for j, v in enumerate(sub_steps):
-        running[j + 1] = v @ running[j]
+    times = np.arange(n_samples) * (period / n_samples)
+    running = _running_product(lambda s: hamiltonian.on_grid(n_samples, s), n, n_samples,
+                               period, tol)
     propagators = running[:-1]
     u_final = running[-1]
 

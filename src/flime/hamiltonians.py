@@ -160,8 +160,22 @@ class PeriodicHamiltonian:
         return 2.0 * np.pi / self.omega
 
     def __call__(self, t):
-        """Evaluate H(t)."""
-        return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(self.dim, self.dim)
+        """Evaluate H(t): shape (n, n) for a scalar ``t``, (*t.shape, n, n)
+        for an array of times.
+
+        One ``exp`` table of the harmonic phases times the harmonic stack, so
+        an array of times costs one product, not one call per time.  This is
+        the pointwise path, which :func:`~flime.floquet.monodromy` uses;
+        :meth:`on_grid` is the FFT path of the mode grid.
+        """
+        n = self.dim
+        if isinstance(t, float):
+            # a float time, as every RHS call of the direct solver passes,
+            # skips the array set-up, which would double the call's cost
+            return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(n, n)
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(1j * np.multiply.outer(t, self._freqs))
+        return np.dot(phases, self._stack).reshape(*t.shape, n, n)
 
     def on_grid(self, n_samples, shift=0.0):
         """H(t_j + shift) at t_j = j T / n_samples, j < n_samples, shape (n_samples, n, n).

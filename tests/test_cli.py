@@ -158,6 +158,25 @@ class TestConfigValidation:
         assert f"ness.{key}" in capsys.readouterr().err
         assert not (tmp_path / "ness_cycle.csv").exists()
 
+    @pytest.mark.parametrize("sets, key", [
+        ("n_samples=100", "n_samples"), ("n_samples=1", "n_samples"),
+        ("n_samples=256.5", "n_samples"), ("n_samples=many", "n_samples"),
+        ("k_max=-3", "k_max"), ("k_max=2.5", "k_max"), ("k_max=128", "k_max"),
+        ("n_samples=16 k_max=8", "k_max"),
+        ("evolution.samples_per_period=0", "evolution.samples_per_period"),
+        ("evolution.samples_per_period=2.5", "evolution.samples_per_period"),
+        ("evolution.n_periods=2.5", "evolution.n_periods"),
+        ("evolution.n_periods=0", "evolution.n_periods"),
+    ])
+    def test_bad_grid_size_rejected(self, tmp_path, capsys, sets, key):
+        cfg = _write_config(tmp_path, _base_config())
+        args = ["evolve", "--config", cfg, "--out", str(tmp_path)]
+        for item in sets.split():
+            args += ["--set", item]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "evolve_flime.csv").exists()
+
     def test_seed_key_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _base_config(seed=0))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2

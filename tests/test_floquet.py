@@ -14,18 +14,60 @@ def _eq29_system():
     return build_driven_2ls_full(omega0, omega0, 0.5 * omega0, 0.5 * omega0)
 
 
-def _sequential_propagators(h, n_samples):
-    """U(t_j, 0) on the uniform grid from one pass that stops at every grid
-    point, at rtol 1e-13 (oracle for the batched grid)."""
+def _system(name, rng):
+    if name == "pulse-train":
+        return build_pulse_train(0.3, 1.0, n_harmonics=40)
+    if name == "strong-2ls":
+        return _eq29_system()
+    h, _ = random_single_harmonic_system(rng, 8, with_channel=False)
+    return h
+
+
+def _sequential_propagators(h, times):
+    """U(t, 0) at increasing ``times`` from one pass over [0, times[-1]] with
+    pointwise H(t) that stops at every time, at rtol 1e-13 (oracle for the
+    batched monodromy and grid)."""
     n = h.dim
-    times = np.arange(n_samples) * (h.period / n_samples)
 
     def rhs(t, y):
         return (-1j * h(t) @ y.reshape(n, n)).ravel()
 
     out, _ = integrate_adaptive(rhs, 0.0, np.eye(n, dtype=complex).ravel(), times,
                                 rtol=1e-13, atol=1e-15)
-    return out.reshape(n_samples, n, n)
+    return out.reshape(len(times), n, n)
+
+
+def _record_integrations(monkeypatch):
+    """Statistics of every integrate_adaptive call that floquet makes."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        out, stats = integrate_adaptive(*args, **kwargs)
+        calls.append(stats)
+        return out, stats
+
+    monkeypatch.setattr(floquet, "integrate_adaptive", recording)
+    return calls
+
+
+class _CountingHamiltonian:
+    """Counts pointwise H(t) calls and on_grid calls of a Hamiltonian."""
+
+    def __init__(self, hamiltonian):
+        self._hamiltonian = hamiltonian
+        self.calls = 0
+        self.grid_calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self._hamiltonian(t)
+
+    def on_grid(self, n_samples, shift=0.0):
+        self.grid_calls += 1
+        return self._hamiltonian.on_grid(n_samples, shift)
+
+    def __getattr__(self, name):
+        return getattr(self._hamiltonian, name)
 
 
 class TestBrillouinFold:
@@ -63,6 +105,31 @@ class TestMonodromy:
         u_oracle = rk4_matrix_propagator(h, h.period, 4096)
         assert np.max(np.abs(u - u_oracle)) < 1e-8
         assert unitarity_defect(u) < 1e-9
+
+    @pytest.mark.parametrize("system", ["strong-2ls", "pulse-train", "random-n8"])
+    def test_batched_monodromy_matches_sequential_oracle(self, rng, system):
+        h = _system(system, rng)
+        oracle = _sequential_propagators(h, [h.period])[0]
+        assert np.max(np.abs(monodromy(h) - oracle)) < 1e-10
+
+    def test_strong_drive_takes_few_steps(self, monkeypatch):
+        # the period's sub-intervals are stepped together, so the monodromy
+        # costs a few steps of length T/24 instead of one pass over T
+        calls = _record_integrations(monkeypatch)
+        monodromy(_eq29_system())
+        assert len(calls) == 1 and calls[0].steps_accepted < 40
+
+    def test_monodromy_and_grid_use_independent_hamiltonian_paths(self):
+        # closure_defect cross-checks two integrations: the monodromy with
+        # pointwise H(t), the grid with the FFT path
+        h = _CountingHamiltonian(_eq29_system())
+        u = monodromy(h)
+        assert h.calls > 0 and h.grid_calls == 0
+        h.calls = 0
+        eps, modes0 = floquet_decompose(u, h.omega)
+        basis = mode_grid(h, eps, modes0)
+        assert h.calls == 0 and h.grid_calls > 0
+        assert basis.closure_defect < 1e-9
 
 
 class TestDecompose:
@@ -147,14 +214,9 @@ class TestModeGrid:
     @pytest.mark.parametrize("system, n_samples", [
         ("pulse-train", 1024), ("strong-2ls", 256), ("random-n8", 256)])
     def test_batched_grid_matches_sequential_oracle(self, rng, system, n_samples):
-        if system == "pulse-train":
-            h = build_pulse_train(0.3, 1.0, n_harmonics=40)
-        elif system == "strong-2ls":
-            h = _eq29_system()
-        else:
-            h, _ = random_single_harmonic_system(rng, 8, with_channel=False)
+        h = _system(system, rng)
         basis = compute_basis(h, n_samples=n_samples)
-        oracle = _sequential_propagators(h, n_samples)
+        oracle = _sequential_propagators(h, basis.grid_times)
         assert np.max(np.abs(basis.propagators - oracle)) < 1e-10
         phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
         modes = np.einsum("tij,jb,tb->tib", oracle, basis.modes0, phases)
@@ -165,14 +227,7 @@ class TestModeGrid:
         # few steps of length T/1024 instead of one stop per grid point
         h = build_pulse_train(0.3, 1.0, n_harmonics=40)
         eps, modes0 = floquet_decompose(monodromy(h), h.omega)
-        calls = []
-
-        def recording(*args, **kwargs):
-            out, stats = integrate_adaptive(*args, **kwargs)
-            calls.append(stats)
-            return out, stats
-
-        monkeypatch.setattr(floquet, "integrate_adaptive", recording)
+        calls = _record_integrations(monkeypatch)
         mode_grid(h, eps, modes0, n_samples=1024)
         assert len(calls) == 1 and calls[0].steps_accepted <= 10
 

@@ -72,6 +72,22 @@ class TestPeriodicHamiltonian:
             pointwise = np.array([h(t + shift) for t in grid])
             assert np.max(np.abs(h.on_grid(n_samples, shift) - pointwise)) < 1e-13
 
+    @pytest.mark.parametrize("system", ["pulse-train", "strong-2ls"])
+    def test_array_of_times_matches_scalar_calls(self, rng, system):
+        if system == "pulse-train":
+            h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        else:
+            h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)
+        times = rng.uniform(0, 3 * h.period, (4, 6))
+        values = h(times)
+        assert values.shape == (4, 6, 2, 2)
+        loop = np.array([[h(float(t)) for t in row] for row in times])
+        assert np.max(np.abs(values - loop)) < 1e-14
+        # every scalar kind returns one matrix
+        for t in (0.3, np.float64(0.3), 1, np.array(0.3)):
+            assert h(t).shape == (2, 2)
+        assert np.max(np.abs(h(1) - h(1.0))) == 0.0
+
     def test_periodicity(self, rng):
         h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, 0.8, 0.8)
         for t in rng.uniform(0, 7, 9):
