@@ -21,7 +21,7 @@ from .hamiltonians import (DEFAULT_TIME_UNIT, HarmonicTerm, PeriodicHamiltonian,
                            build_pulse_train, build_rotating_frame_2ls,
                            lifetime_to_rate)
 from .integrate import IntegrationError, IntegratorStats, OdeTol, integrate_adaptive
-from .lindblad import LiouvillianSpec, evolve_direct, liouvillian_at
+from .lindblad import LiouvillianSpec, evolve_direct
 from .qops import (check_density_matrix, expect, fold, hermiticity_defect,
                    pure_state_density, sandwich_superop, sigma_minus, sigma_plus,
                    sigma_x, sigma_y, sigma_z, trace_distance, unfold,
@@ -51,7 +51,7 @@ __all__ = [
     "CollapseChannel", "RateTermSet", "Diagnostics", "EvolutionResult",
     "build_terms", "assemble", "evolve",
     # lindblad
-    "LiouvillianSpec", "liouvillian_at", "evolve_direct",
+    "LiouvillianSpec", "evolve_direct",
     # analysis
     "NessResult", "SpectrumResult", "FlimePropagator", "ReferencePropagator",
     "rwa_steady_state", "evolve_to_ness", "correlation_g1", "spectrum",

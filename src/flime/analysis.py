@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import OdeTol, integrate_adaptive
-from .lindblad import LiouvillianSpec, matrix_rhs
-from .qops import unfold
-from .solver import RateTermSet, _propagate
+# integrate_adaptive is unused here but stays a module attribute:
+# perfbench's tracer wraps analysis.integrate_adaptive.
+from .integrate import OdeTol, integrate_adaptive  # noqa: F401
+from .lindblad import LiouvillianSpec, _lab_generator
+from .solver import RateTermSet, _propagate, _rate_generator
 
 __all__ = [
     "NessResult",
@@ -47,36 +48,38 @@ def rwa_steady_state(rabi, detuning, gamma):
 
 
 class FlimePropagator:
-    """Period-by-period propagation bound to a rate-term set and basis.
+    """Period-by-period propagation by the one-period map of a T-periodic
+    generator: the rate matrix of ``rates`` in ``basis``.
 
-    The internal state is the rotated-frame supervector at a whole period
-    (see ``solver._propagate``), in which the propagator is T-periodic.  The
-    first call of :meth:`cycle` builds the lab-frame maps at ``taus`` and the
-    one-period map P from one period of integration; each call then costs a
-    few small matrix products.
+    The internal state is the supervector at a whole period, in the frame
+    where the propagator is T-periodic (see ``solver._propagate``).  The
+    first call of :meth:`cycle` builds the lab-frame maps at ``taus`` and
+    the one-period map P from one period of integration; each call then
+    costs a few small matrix products.
     """
 
     def __init__(self, rates, basis, tol=None):
-        self.rates = rates
-        self.basis = basis
+        self._bind(_rate_generator(rates, basis), tol)
+
+    def _bind(self, generator, tol):
+        self.generator = generator
         self.tol = tol if tol is not None else OdeTol()
         self._taus = None
 
     @property
     def period(self):
-        return self.basis.period
+        return self.generator.period
 
     def start(self, rho0):
-        modes0 = self.basis.modes0
-        return unfold(modes0.conj().T @ np.asarray(rho0, dtype=complex) @ modes0)
+        return self.generator.start(np.asarray(rho0, dtype=complex))
 
     def cycle(self, state, n, taus):
         """Propagate over period ``n``; returns lab states at n*T + taus and
         the internal state at (n+1)*T.  The maps do not depend on ``n``."""
         taus = np.asarray(taus, dtype=float)
         if self._taus is None or not np.array_equal(taus, self._taus):
-            n2 = self.basis.dim ** 2
-            lab, images, *_ = _propagate(self.rates, self.basis, np.eye(n2, dtype=complex),
+            n2 = self.generator.dim ** 2
+            lab, images, *_ = _propagate(self.generator, np.eye(n2, dtype=complex),
                                          np.append(taus, self.period), self.tol)
             self._taus = taus.copy()
             self._lab_maps = lab[:-1]
@@ -84,35 +87,13 @@ class FlimePropagator:
         return self._lab_maps @ state, self._period_map @ state
 
 
-class ReferencePropagator:
-    """Period-by-period propagation via the direct Lindblad generator."""
+class ReferencePropagator(FlimePropagator):
+    """The same period-by-period propagation under the direct lab-frame
+    Lindblad generator of ``spec``; its internal state is the lab-frame
+    supervector."""
 
     def __init__(self, spec, tol=None):
-        self.spec = spec
-        self.tol = tol if tol is not None else OdeTol()
-        self._rhs = matrix_rhs(spec)
-        self._n = spec.dim
-        self._max_step = (self.tol.max_step * spec.hamiltonian.period
-                          if self.tol.max_step is not None else np.inf)
-        self._h_prev = None
-
-    @property
-    def period(self):
-        return self.spec.hamiltonian.period
-
-    def start(self, rho0):
-        return unfold(np.asarray(rho0, dtype=complex))
-
-    def cycle(self, state, n, taus):
-        t0 = n * self.period
-        t_out = np.append(t0 + np.asarray(taus, dtype=float), t0 + self.period)
-        vecs, stats = integrate_adaptive(
-            self._rhs, t0, state, t_out,
-            rtol=self.tol.rtol, atol=self.tol.atol,
-            max_step=self._max_step, first_step=self._h_prev)
-        self._h_prev = stats.last_step or None
-        states = vecs[:-1].reshape(-1, self._n, self._n).transpose(0, 2, 1)
-        return states, vecs[-1]
+        self._bind(_lab_generator(spec), tol)
 
 
 @dataclass(eq=False)
@@ -185,15 +166,15 @@ def correlation_g1(system, ness_state, lower_op, tau_grid, tol=None):
     ``exp(-1j*w0*tau)`` and the spectrum kernel ``exp(1j*dw*tau)`` places it
     at positive detuning.
 
-    ``system`` selects the propagator: a :class:`LiouvillianSpec` for the
-    direct generator (default choice for spectra) or a
-    ``(RateTermSet, FloquetBasis)`` pair for the rate-matrix generator.  The
-    latter integrates one period and jumps whole periods; when ``tau_grid``
+    ``system`` selects the generator: a :class:`LiouvillianSpec` for the
+    direct lab-frame generator (default choice for spectra) or a
+    ``(RateTermSet, FloquetBasis)`` pair for the rate-matrix generator.
+    Either integrates one period and jumps whole periods; when ``tau_grid``
     has many distinct phases tau mod T, they are Chebyshev-interpolated from
     exact samples at a few nodes, with the coefficient tail checked against
     ``tol`` (see ``solver._propagate``), so the integrator does not stop at
-    every tau.  ``g1(0)`` equals the excited population of the steady state when
-    ``lower_op`` is the lowering operator.
+    every tau.  ``g1(0)`` equals the excited population of the steady state
+    when ``lower_op`` is the lowering operator.
     """
     if tol is None:
         tol = OdeTol()
@@ -202,21 +183,14 @@ def correlation_g1(system, ness_state, lower_op, tau_grid, tol=None):
     perturbed = np.asarray(ness_state, dtype=complex) @ lower_op.conj().T
 
     if isinstance(system, LiouvillianSpec):
-        n = system.dim
-        vecs, _ = integrate_adaptive(matrix_rhs(system), 0.0, unfold(perturbed), tau_grid,
-                                     rtol=tol.rtol, atol=tol.atol)
-        mats = vecs.reshape(-1, n, n).transpose(0, 2, 1)
+        gen = _lab_generator(system)
     elif (isinstance(system, tuple) and len(system) == 2
           and isinstance(system[0], RateTermSet)):
-        rates, basis = system
-        modes0 = basis.modes0
-        v0 = unfold(modes0.conj().T @ perturbed @ modes0)
-        lab, *_ = _propagate(rates, basis, v0[:, None], tau_grid, tol)
-        mats = lab[..., 0]
+        gen = _rate_generator(*system)
     else:
         raise TypeError("system must be a LiouvillianSpec or a (RateTermSet, FloquetBasis) pair")
-
-    return np.einsum("ij,tji->t", lower_op, mats)
+    lab, *_ = _propagate(gen, gen.start(perturbed)[:, None], tau_grid, tol)
+    return np.einsum("ij,tji->t", lower_op, lab[..., 0])
 
 
 @dataclass(eq=False)

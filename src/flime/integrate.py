@@ -44,7 +44,6 @@ class IntegratorStats:
     steps_accepted: int = 0
     steps_rejected: int = 0
     rhs_evals: int = 0
-    last_step: float = 0.0
 
 
 class IntegrationError(RuntimeError):
@@ -103,7 +102,7 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
 
 
 def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
-                       max_step=np.inf, first_step=None):
+                       max_step=np.inf):
     """Integrate dy/dt = rhs(t, y) from ``t0``, sampling at ``t_out``.
 
     Parameters
@@ -146,11 +145,8 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
 
     f = rhs(t, y)
     stats.rhs_evals += 1
-    if first_step is not None:
-        h = min(float(first_step), max_step)
-    else:
-        h = _initial_step(rhs, t, y, f, rtol, atol, max_step)
-        stats.rhs_evals += 1
+    h = _initial_step(rhs, t, y, f, rtol, atol, max_step)
+    stats.rhs_evals += 1
 
     K = np.empty((7, *y.shape), dtype=complex)
     flat_k = K.reshape(7, y.size)  # a view, so stage sums are one product
@@ -180,7 +176,6 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
             y = y_new
             f = K[6].copy()  # first-same-as-last
             stats.steps_accepted += 1
-            stats.last_step = h
             if hit_target:
                 out[i_out] = y
                 i_out += 1

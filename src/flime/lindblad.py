@@ -4,20 +4,25 @@ Propagates the lab-frame master equation
 
     d rho / dt = -1j [H(t), rho] + sum_c rate_c (S rho S^dag - (1/2){S^dag S, rho})
 
-with the same adaptive integrator as the rate-matrix solver, so timing
-comparisons between the two isolate the cost of the formulation.
+The lab-frame generator has the period T of H(t), so its propagator obeys
+Phi(j*T + tau) = Phi(tau) Phi(T)^j, as the rate matrix's does in its
+rotated frame.  Both generators run through the same one-period map
+(``solver._propagate``) with the same adaptive integrator: one period is
+integrated and whole periods are jumped, so timing comparisons between the
+two solvers measure the formulation, not the period jump.
 """
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import OdeTol, integrate_adaptive
-from .qops import check_density_matrix, hermiticity_defect, unfold
-from .solver import Diagnostics, EvolutionResult
+# integrate_adaptive is unused here but stays a module attribute:
+# perfbench's tracer wraps lindblad.integrate_adaptive.
+from .integrate import integrate_adaptive  # noqa: F401
+from .qops import unfold
+from .solver import _evolve, _Generator
 
-__all__ = ["LiouvillianSpec", "liouvillian_at", "matrix_rhs", "evolve_direct"]
+__all__ = ["LiouvillianSpec", "matrix_rhs", "evolve_direct"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,31 +45,11 @@ class LiouvillianSpec:
         return self.hamiltonian.dim
 
 
-def _dissipator_superop(channels, n):
-    eye = np.eye(n, dtype=complex)
-    d = np.zeros((n * n, n * n), dtype=complex)
-    for ch in channels:
-        s = ch.operator
-        sds = s.conj().T @ s
-        d += ch.rate * (np.kron(s.conj(), s)
-                        - 0.5 * np.kron(eye, sds)
-                        - 0.5 * np.kron(sds.T, eye))
-    return d
-
-
-def liouvillian_at(spec, t):
-    """Lindblad generator as a superoperator under the column-stacking layout."""
-    n = spec.dim
-    h = spec.hamiltonian(t)
-    eye = np.eye(n, dtype=complex)
-    coherent = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    return coherent + _dissipator_superop(spec.channels, n)
-
-
 def matrix_rhs(spec):
     """Right-hand side v -> unfold(-1j[H(t), rho] + dissipator) in matrix form.
 
-    Equivalent to multiplying by :func:`liouvillian_at` but cheaper per call.
+    ``v`` is a flattened ``(n^2, B)`` block of supervectors (B = 1 for a
+    single one), and every column is advanced by the same matrix products.
     """
     n = spec.dim
     hamiltonian = spec.hamiltonian
@@ -72,7 +57,7 @@ def matrix_rhs(spec):
            for ch in spec.channels if ch.rate > 0.0]
 
     def rhs(t, v):
-        rho = v.reshape(n, n).T
+        rho = v.reshape(n, n, -1).T
         h = hamiltonian(t)
         drho = -1j * (h @ rho - rho @ h)
         for rate, s, sd, sds in ops:
@@ -82,42 +67,21 @@ def matrix_rhs(spec):
     return rhs
 
 
-def evolve_direct(spec, rho0, times, tol=None):
-    """Integrate the lab-frame master equation, sampling exactly at ``times``.
+def _lab_generator(spec):
+    """The lab-frame Lindbladian as a T-periodic generator: its frame needs
+    no rotation and its supervectors are the lab-frame states."""
+    n = spec.dim
+    return _Generator(rhs=matrix_rhs(spec), dim=n, gaps=np.zeros(n * n),
+                      period=spec.hamiltonian.period, max_step=np.inf, start=unfold,
+                      to_lab=lambda phases, index, rho: rho.transpose(0, 2, 1, 3))
 
-    ``rho0`` is the state at t = 0.  Returns the same result type as the
+
+def evolve_direct(spec, rho0, times, tol=None):
+    """Integrate the lab-frame master equation to ``times``.
+
+    ``rho0`` is the state at t = 0.  One period is integrated and later
+    periods are reached by powers of the one-period map, exactly as in
+    :func:`flime.solver.evolve`.  Returns the same result type as the
     rate-matrix solver (term-count diagnostics are zero here).
     """
-    t_start = _time.perf_counter()
-    if tol is None:
-        tol = OdeTol()
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("output times must be strictly increasing")
-    if times[0] < 0.0:
-        raise ValueError("output times must be nonnegative")
-    rho0 = check_density_matrix(rho0)
-    n = spec.dim
-    if rho0.shape != (n, n):
-        raise ValueError(f"state dim {rho0.shape[0]} does not match system dim {n}")
-
-    rhs = matrix_rhs(spec)
-    max_step = tol.max_step * spec.hamiltonian.period if tol.max_step is not None else np.inf
-    t_solve = _time.perf_counter()
-    vecs, stats = integrate_adaptive(rhs, 0.0, unfold(rho0), times,
-                                     rtol=tol.rtol, atol=tol.atol, max_step=max_step)
-    solution_time = _time.perf_counter() - t_solve
-
-    states = vecs.reshape(-1, n, n).transpose(0, 2, 1)
-    traces = np.einsum("tii->t", states)
-    diag = Diagnostics(
-        steps_accepted=stats.steps_accepted,
-        steps_rejected=stats.steps_rejected,
-        rhs_evals=stats.rhs_evals,
-        solution_time_s=solution_time,
-        max_trace_defect=float(np.max(np.abs(traces - 1.0))),
-        max_hermiticity_defect=hermiticity_defect(states),
-    )
-    result = EvolutionResult(times=times, states=states, diagnostics=diag)
-    diag.total_time_s = _time.perf_counter() - t_start
-    return result
+    return _evolve(_lab_generator(spec), rho0, times, tol)

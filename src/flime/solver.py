@@ -29,7 +29,8 @@ evolutions integrate one period and then jump whole periods.  The integrator
 lands exactly on each of its stops; when the outputs have more distinct
 phases than a Chebyshev grid needs, it stops at the grid's nodes only and the
 phases are interpolated from those exact samples, with the Chebyshev tail
-checked against the tolerance.
+checked against the tolerance.  The direct solver (``lindblad``) runs its
+lab-frame generator through the same one-period map (:class:`_Generator`).
 """
 
 import time as _time
@@ -357,6 +358,53 @@ def _make_rhs(rates, basis):
     return rhs
 
 
+@dataclass(frozen=True, eq=False)
+class _Generator:
+    """A T-periodic linear generator dv/dt = rhs(t, v), as the one-period
+    map of :func:`_propagate` needs it.
+
+    ``rhs`` acts on a flattened ``(dim^2, B)`` block of supervectors.  The
+    propagator is T-periodic in the frame rotated by ``gaps``:
+    v~[p] = exp(-1j*gaps[p]*t) v[p]; zero gaps leave the frame as it is.
+    ``start`` maps a lab-frame density matrix at t = 0, where both frames
+    agree, to its supervector.  ``to_lab(phases, index, rho)`` maps
+    rotated-frame states rho at the phases ``phases[index]``, shape
+    (len(index), dim, dim, B) with rho[t, b, a] the (a, b) entry, to
+    lab-frame matrices.  ``max_step`` is the absolute step cap used when
+    the tolerance sets none.
+    """
+
+    rhs: object
+    dim: int
+    gaps: np.ndarray
+    period: float
+    max_step: float
+    start: object
+    to_lab: object
+
+
+def _rate_generator(rates, basis):
+    """The Floquet-picture rate matrix R(t) as a :class:`_Generator`.
+
+    Rotated by the quasienergy gaps, every kept tuple oscillates at
+    (k - k') * omega only, so the frame's propagator is T-periodic.  A
+    rotated-frame state rho~ is M(tau) rho~ M(tau)^dag in the lab frame,
+    with M the Floquet mode matrix at the phase tau.
+    """
+    modes0 = basis.modes0
+
+    def to_lab(phases, index, rho):
+        modes = basis.modes_at_many(phases)[index]
+        return np.einsum("tai,tmic,tdm->tadc", modes, rho, modes.conj(), optimize=True)
+
+    return _Generator(
+        rhs=_make_rhs(rates, basis), dim=basis.dim, gaps=rates.gaps, period=basis.period,
+        # A cap of one eighth of a period when oscillating terms exist, so no
+        # frequency group is stepped over entirely.
+        max_step=basis.period / 8.0 if rates.deltas.size else np.inf,
+        start=lambda rho: unfold(modes0.conj().T @ rho @ modes0), to_lab=to_lab)
+
+
 def _split_phases(times, period):
     """Split each time into whole periods and a phase: t = j*T + phases[index].
 
@@ -418,13 +466,14 @@ def _barycentric(nodes, x):
 def _integrate_stops(rhs, y0, stops, tol, max_step):
     """Solution of dv/dt = rhs(t, v), v(0) = y0 (1-D), at the increasing ``stops``.
 
-    v(t) is analytic on [0, stops[-1]], because R(t) is a finite sum of
-    exponentials.  With more stops than ``_CHEB_NODES`` the integrator stops
-    only at N Chebyshev-Lobatto nodes of that span, and the stops are
-    interpolated from those exact samples.  N is accepted when the largest
-    Chebyshev coefficient in the last quarter is at most
-    ``rtol * max|c| + atol``, else doubled as 2N - 1; once N reaches the
-    number of stops the integrator stops at each of them.  Returns
+    v(t) is analytic on [0, stops[-1]], because both generators, R(t) and
+    the lab Lindbladian, are finite sums of exponentials.  With more stops
+    than ``_CHEB_NODES`` the integrator stops only at N Chebyshev-Lobatto
+    nodes of that span, and the stops are interpolated from those exact
+    samples.  N is accepted when the largest Chebyshev coefficient in the
+    last quarter is at most ``rtol * max|c| + atol``, else doubled as
+    2N - 1; once N reaches the number of stops the integrator stops at each
+    of them.  Returns
     ``(values, stats, nodes, tail)``: stats summed over every attempt, the
     accepted N (0 for exact stops) and its tail relative to max|c|.
     """
@@ -450,12 +499,11 @@ def _integrate_stops(rhs, y0, stops, tol, max_step):
     return run(stops), total, 0, 0.0
 
 
-def _propagate(rates, basis, block, times, tol):
-    """Propagate a block of Floquet-picture supervectors by the one-period map.
+def _propagate(gen, block, times, tol):
+    """Propagate a block of supervectors by the one-period map of ``gen``.
 
-    In the rotated frame rho~[a, b] = exp(-1j*(eps_a - eps_b)*t) rho_F[a, b]
-    every kept rate tuple oscillates at (k - k') * omega only, so the frame's
-    propagator is T-periodic: Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j.  One
+    In the frame rotated by ``gen.gaps`` the propagator is T-periodic:
+    Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j (see :class:`_Generator`).  One
     period of the n^2 x n^2 identity is integrated to every distinct phase
     tau and to T; later periods follow by powers of P = Phi~(T).  When every
     time lies in the first period the block itself is integrated instead, up
@@ -465,26 +513,24 @@ def _propagate(rates, basis, block, times, tol):
 
     ``block`` has shape (n^2, B) and holds supervectors at t = 0, where both
     frames agree.  Returns ``(lab, images, stats, (nodes, tail))``: the
-    lab-frame matrices M(tau) rho~ M(tau)^dag of each column, shape
-    (len(times), n, n, B), the rotated-frame supervectors, shape
-    (len(times), n^2, B), the integrator statistics of the one-period
-    integration, and the Chebyshev node count (0 for exact stops) and
-    relative tail.
+    lab-frame matrices of each column, shape (len(times), n, n, B), the
+    rotated-frame supervectors, shape (len(times), n^2, B), the integrator
+    statistics of the one-period integration, and the Chebyshev node count
+    (0 for exact stops) and relative tail.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
         raise ValueError("output times must be nonnegative")
-    period = basis.period
-    n = basis.dim
+    period = gen.period
+    n = gen.dim
     nn = n * n
     periods, phases, index = _split_phases(times, period)
     jumps = periods.max() > 0
     y0 = np.eye(nn, dtype=complex) if jumps else block
     t_out = np.append(phases, period) if jumps else phases
-    max_step = _max_step_abs(tol, period, rates.deltas.size > 0)
-    flat, stats, nodes, tail = _integrate_stops(_make_rhs(rates, basis), y0.ravel(), t_out,
-                                                tol, max_step)
-    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, rates.gaps))[:, :, None]
+    max_step = tol.max_step * period if tol.max_step is not None else gen.max_step
+    flat, stats, nodes, tail = _integrate_stops(gen.rhs, y0.ravel(), t_out, tol, max_step)
+    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, gen.gaps))[:, :, None]
 
     if jumps:
         pmap = maps[-1]
@@ -507,9 +553,7 @@ def _propagate(rates, basis, block, times, tol):
     else:
         images = maps[index]
 
-    modes = basis.modes_at_many(phases)[index]
-    rho = images.reshape(times.size, n, n, -1)
-    lab = np.einsum("tai,tmic,tdm->tadc", modes, rho, modes.conj(), optimize=True)
+    lab = gen.to_lab(phases, index, images.reshape(times.size, n, n, -1))
     return lab, images, stats, (nodes, tail)
 
 
@@ -549,12 +593,48 @@ class EvolutionResult:
         return np.einsum("ij,tji->t", np.asarray(operator, dtype=complex), self.states)
 
 
-def _max_step_abs(tol, period, has_oscillating):
-    if tol.max_step is not None:
-        return tol.max_step * period
-    # Default cap of one eighth of a period when oscillating terms exist, so
-    # no frequency group is stepped over entirely.
-    return period / 8.0 if has_oscillating else np.inf
+def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
+    """Body of :func:`evolve` and ``lindblad.evolve_direct``: check the
+    inputs, propagate ``rho0`` by the one-period map of ``gen`` and report
+    the run in :class:`Diagnostics`, with ``terms`` as its term fields."""
+    t_start = _time.perf_counter()
+    if tol is None:
+        tol = OdeTol()
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("output times must be strictly increasing")
+    if times[0] < 0.0:
+        raise ValueError("output times must be nonnegative")
+    rho0 = check_density_matrix(rho0)
+    n = gen.dim
+    if rho0.shape != (n, n):
+        raise ValueError(f"state dim {rho0.shape[0]} does not match system dim {n}")
+
+    v0 = gen.start(rho0)
+    t_solve = _time.perf_counter()
+    lab, images, stats, (nodes, tail) = _propagate(gen, v0[:, None], times, tol)
+    solution_time = _time.perf_counter() - t_solve
+
+    states = lab[..., 0]
+    rho_f = None
+    if store_floquet:
+        rho_f = (images[:, :, 0] * np.exp(1j * np.outer(times, gen.gaps))).reshape(
+            -1, n, n).transpose(0, 2, 1)
+    traces = np.einsum("tii->t", states)
+    diag = Diagnostics(
+        steps_accepted=stats.steps_accepted,
+        steps_rejected=stats.steps_rejected,
+        rhs_evals=stats.rhs_evals,
+        solution_time_s=solution_time,
+        max_trace_defect=float(np.max(np.abs(traces - 1.0))),
+        max_hermiticity_defect=hermiticity_defect(states),
+        phase_nodes=nodes,
+        phase_tail=float(tail),
+        **terms,
+    )
+    result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
+    diag.total_time_s = _time.perf_counter() - t_start
+    return result
 
 
 def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
@@ -568,48 +648,10 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
     ``phase_nodes`` and ``phase_tail`` are its Chebyshev node count (0 when
     the integrator stopped at every phase) and relative coefficient tail.
     """
-    t_start = _time.perf_counter()
-    if tol is None:
-        tol = OdeTol()
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("output times must be strictly increasing")
-    if times[0] < 0.0:
-        raise ValueError("output times must be nonnegative")
-    rho0 = check_density_matrix(rho0)
-    if rho0.shape != (basis.dim, basis.dim):
-        raise ValueError(f"state dim {rho0.shape[0]} does not match basis dim {basis.dim}")
-
-    v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
-    t_solve = _time.perf_counter()
-    lab, images, stats, (nodes, tail) = _propagate(rates, basis, v0[:, None], times, tol)
-    solution_time = _time.perf_counter() - t_solve
-
-    states = lab[..., 0]
-    rho_f = None
-    if store_floquet:
-        n = basis.dim
-        eps = basis.quasienergies
-        rho_f = (images[:, :, 0].reshape(-1, n, n).transpose(0, 2, 1)
-                 * np.exp(1j * times[:, None, None] * np.subtract.outer(eps, eps)))
-    traces = np.einsum("tii->t", states)
-    diag = Diagnostics(
-        term_count_static=rates.kept_static,
-        term_count_oscillating=rates.kept_oscillating,
-        n_frequency_groups=rates.n_frequency_groups,
-        dropped_terms=rates.dropped_count,
-        candidate_terms=rates.candidate_terms,
-        steps_accepted=stats.steps_accepted,
-        steps_rejected=stats.steps_rejected,
-        rhs_evals=stats.rhs_evals,
-        solution_time_s=solution_time,
-        total_time_s=0.0,
-        max_trace_defect=float(np.max(np.abs(traces - 1.0))),
-        max_hermiticity_defect=hermiticity_defect(states),
-        fourier_tail=rates.fourier_tail,
-        phase_nodes=nodes,
-        phase_tail=float(tail),
-    )
-    result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
-    diag.total_time_s = _time.perf_counter() - t_start
-    return result
+    return _evolve(_rate_generator(rates, basis), rho0, times, tol, store_floquet,
+                   term_count_static=rates.kept_static,
+                   term_count_oscillating=rates.kept_oscillating,
+                   n_frequency_groups=rates.n_frequency_groups,
+                   dropped_terms=rates.dropped_count,
+                   candidate_terms=rates.candidate_terms,
+                   fourier_tail=rates.fourier_tail)

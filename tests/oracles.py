@@ -1,16 +1,21 @@
-"""Tuple-by-tuple test oracles for the decomposed rate superoperator.
+"""Test oracles: independent, slow constructions of what the package computes.
 
-These enumerate every index pair ``(alpha, beta, k), (alpha', beta', k')``
-of one channel explicitly, so they are quadratic in the tuple count and
-meant for small systems.  They share only ``fourier_coefficients`` with the
-harmonic store that ``build_terms`` fills.
+The tuple-by-tuple oracles for the decomposed rate superoperator enumerate
+every index pair ``(alpha, beta, k), (alpha', beta', k')`` of one channel
+explicitly, so they are quadratic in the tuple count and meant for small
+systems.  They share only ``fourier_coefficients`` with the harmonic store
+that ``build_terms`` fills.  The Lindblad generator as an explicit
+superoperator and full-span stepping check the direct solver, which
+propagates by the one-period map.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from flime import fourier_coefficients, sandwich_superop
+from flime import fourier_coefficients, integrate_adaptive, sandwich_superop
+from flime.lindblad import matrix_rhs
+from flime.qops import unfold
 from flime.solver import _SECULAR_REL_TOL, _frequencies
 
 
@@ -132,3 +137,34 @@ def factored_rhs(rates, basis):
         return out.transpose(2, 1, 0).ravel()
 
     return rhs
+
+
+def _dissipator_superop(channels, n):
+    eye = np.eye(n, dtype=complex)
+    d = np.zeros((n * n, n * n), dtype=complex)
+    for ch in channels:
+        s = ch.operator
+        sds = s.conj().T @ s
+        d += ch.rate * (np.kron(s.conj(), s)
+                        - 0.5 * np.kron(eye, sds)
+                        - 0.5 * np.kron(sds.T, eye))
+    return d
+
+
+def liouvillian_at(spec, t):
+    """Lindblad generator as a superoperator under the column-stacking layout."""
+    n = spec.dim
+    h = spec.hamiltonian(t)
+    eye = np.eye(n, dtype=complex)
+    coherent = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return coherent + _dissipator_superop(spec.channels, n)
+
+
+def direct_full_span(spec, rho0, times, tol):
+    """Lab-frame states from stepping the direct generator over the whole
+    span, with the integrator stopping exactly at every one of ``times``."""
+    n = spec.dim
+    max_step = tol.max_step * spec.hamiltonian.period if tol.max_step is not None else np.inf
+    vecs, _ = integrate_adaptive(matrix_rhs(spec), 0.0, unfold(rho0), times,
+                                 rtol=tol.rtol, atol=tol.atol, max_step=max_step)
+    return vecs.reshape(-1, n, n).transpose(0, 2, 1)

@@ -49,11 +49,6 @@ class TestStepping:
         assert capped.steps_accepted >= 100
         assert free.steps_accepted < capped.steps_accepted
 
-    def test_first_step_hint(self):
-        y, _ = integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0 + 0j]), [1.0],
-                                  first_step=1e-3)
-        assert abs(y[0, 0] - np.exp(-1.0)) < 1e-8
-
     def test_block_steps_at_its_worst_row(self):
         # one stiff row among 63 constant ones: the block norm is the worst
         # row's, so the block needs at least the stiff row's steps (an RMS

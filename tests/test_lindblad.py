@@ -4,11 +4,12 @@ import scipy.linalg
 
 from flime import (CollapseChannel, LiouvillianSpec, OdeTol, PeriodicHamiltonian,
                    build_driven_2ls_full, build_rotating_frame_2ls, build_terms,
-                   compute_basis, evolve, evolve_direct, fold, liouvillian_at,
+                   compute_basis, evolve, evolve_direct, fold,
                    pure_state_density, sigma_minus, trace_distance, unfold)
 from flime.lindblad import matrix_rhs
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states)
+from oracles import liouvillian_at
 
 
 class TestLiouvillian:

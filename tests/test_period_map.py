@@ -1,22 +1,30 @@
 """Propagation by the one-period map against full-span stepping.
 
-The oracle integrates the Floquet-picture supervector ODE over the whole
-time span with the same right-hand side, then rotates to the lab frame with
-the Floquet state matrix at every output time; the period map integrates one
-period only and jumps whole periods.
+Both generators, the rate matrix and the direct lab-frame Lindbladian, are
+propagated by the one-period map: one period is integrated and whole
+periods are jumped.  The rate-matrix oracle integrates the Floquet-picture
+supervector ODE over the whole time span with the same right-hand side,
+then rotates to the lab frame with the Floquet state matrix at every output
+time; the direct oracle (``oracles.direct_full_span``) steps the lab-frame
+master equation over the whole span.
 """
 
 import numpy as np
 import pytest
 
+import flime.analysis as analysis_mod
+import flime.lindblad as lindblad_mod
 import flime.solver as solver_mod
-from flime import (CollapseChannel, FlimePropagator, OdeTol, build_bichromatic,
-                   build_driven_2ls_full, build_driven_2ls_rwa, build_terms,
-                   compute_basis, correlation_g1, evolve, pure_state_density,
-                   sigma_minus, unfold)
+from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
+                   PeriodicHamiltonian, ReferencePropagator, build_bichromatic,
+                   build_driven_2ls_full, build_driven_2ls_rwa, build_pulse_train,
+                   build_terms, compute_basis, correlation_g1, evolve, evolve_direct,
+                   pure_state_density, sigma_minus, unfold)
 from flime.integrate import integrate_adaptive
+from flime.lindblad import matrix_rhs
 from flime.qops import trace_distance
 from conftest import random_density, random_single_harmonic_system
+from oracles import direct_full_span
 
 TOL = OdeTol(rtol=1e-10, atol=1e-12)
 ORACLE_TOL = OdeTol(rtol=1e-11, atol=1e-13)
@@ -26,9 +34,9 @@ def _oracle(rates, basis, rho0, times):
     """Lab-frame and Floquet-picture states from full-span stepping."""
     n = basis.dim
     v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
-    max_step = solver_mod._max_step_abs(ORACLE_TOL, basis.period, rates.deltas.size > 0)
-    vecs, _ = integrate_adaptive(solver_mod._make_rhs(rates, basis), 0.0, v0, times,
-                                 rtol=ORACLE_TOL.rtol, atol=ORACLE_TOL.atol, max_step=max_step)
+    gen = solver_mod._rate_generator(rates, basis)
+    vecs, _ = integrate_adaptive(gen.rhs, 0.0, v0, times, rtol=ORACLE_TOL.rtol,
+                                 atol=ORACLE_TOL.atol, max_step=gen.max_step)
     rho_f = vecs.reshape(-1, n, n).transpose(0, 2, 1)
     w = basis.modes_at_many(times) * np.exp(-1j * np.outer(times, basis.quasienergies))[:, None, :]
     return w @ rho_f @ w.conj().transpose(0, 2, 1), rho_f
@@ -152,7 +160,8 @@ def test_many_phases_take_few_steps(monkeypatch):
     taus = np.linspace(0.0, 60.0, 2048)
     state = pure_state_density([0.6, 0.8j])
     v0 = unfold(basis.modes0.conj().T @ state @ basis.modes0)[:, None]
-    _, _, stats, (nodes, tail) = solver_mod._propagate(rates, basis, v0, taus, tol)
+    gen = solver_mod._rate_generator(rates, basis)
+    _, _, stats, (nodes, tail) = solver_mod._propagate(gen, v0, taus, tol)
     # stopping at each of the 2048 phases took at least 2048 steps
     assert stats.steps_accepted < 400
     assert nodes > 0 and tail <= tol.rtol
@@ -168,11 +177,108 @@ def test_failed_tail_falls_back_to_exact_stops(monkeypatch):
     # 101 stops: more than 65 nodes, fewer than the 129 of the next try
     taus = np.linspace(0.0, 6.0, 100)
     block = np.eye(4, dtype=complex)
-    lab, images, stats, (nodes, tail) = solver_mod._propagate(rates, basis, block, taus, tol)
+    gen = solver_mod._rate_generator(rates, basis)
+    lab, images, stats, (nodes, tail) = solver_mod._propagate(gen, block, taus, tol)
     assert (nodes, tail) == (0, 0.0)
     _exact_stops(monkeypatch)
-    lab_exact, images_exact, stats_exact, _ = solver_mod._propagate(rates, basis, block, taus, tol)
+    lab_exact, images_exact, stats_exact, _ = solver_mod._propagate(gen, block, taus, tol)
     np.testing.assert_array_equal(lab, lab_exact)
     np.testing.assert_array_equal(images, images_exact)
     # the counts include the rejected 65-node attempt
     assert stats.rhs_evals > stats_exact.rhs_evals
+
+
+def _direct_system(name):
+    """A lab-frame system and its initial state."""
+    if name == "criterion-11":
+        h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)
+        return LiouvillianSpec(h, (CollapseChannel(sigma_minus, 0.5),)), pure_state_density([0.6, 0.8j])
+    if name == "n3":
+        rng = np.random.default_rng(31)
+        h, channel = random_single_harmonic_system(rng, 3)
+        return LiouvillianSpec(h, (channel,)), random_density(rng, 3)
+    if name == "pulse-train":
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        return LiouvillianSpec(h, (CollapseChannel(sigma_minus, 0.05),)), pure_state_density([1.0, 0.0])
+    h = PeriodicHamiltonian(2 * np.pi, 0.5 * np.array([[0.2, 0.9], [0.9, -0.2]], dtype=complex))
+    return LiouvillianSpec(h, (CollapseChannel(sigma_minus, 0.3),)), pure_state_density([0.6, 0.8])
+
+
+_DIRECT_SYSTEMS = ["criterion-11", "n3", "pulse-train", "static"]
+
+
+def test_direct_block_rhs_matches_vector_calls():
+    spec, _ = _direct_system("n3")
+    rng = np.random.default_rng(7)
+    rhs = matrix_rhs(spec)
+    h = spec.hamiltonian
+    s, rate = spec.channels[0].operator, spec.channels[0].rate
+    sd, sds = s.conj().T, s.conj().T @ s
+    block = np.stack([unfold(random_density(rng, 3)) for _ in range(4)], axis=1)
+    for t in rng.uniform(0.0, 4.0, 3):
+        # one column: the single-matrix formula, operation for operation
+        rho = block[:, 0].reshape(3, 3).T
+        hm = h(t)
+        drho = -1j * (hm @ rho - rho @ hm)
+        drho += rate * (s @ rho @ sd - 0.5 * (sds @ rho + rho @ sds))
+        np.testing.assert_array_equal(rhs(t, block[:, :1].ravel()), drho.T.ravel())
+        # several columns: each as its own call
+        out = rhs(t, block.ravel()).reshape(9, 4)
+        for c in range(4):
+            np.testing.assert_array_equal(out[:, c], rhs(t, block[:, c]))
+
+
+@pytest.mark.parametrize("grid", ["uniform", "irregular", "first-period", "dense"])
+@pytest.mark.parametrize("name", _DIRECT_SYSTEMS)
+def test_direct_solver_matches_full_span_stepping(name, grid):
+    spec, rho0 = _direct_system(name)
+    times = _grid(grid, spec.hamiltonian.period)
+    ours = evolve_direct(spec, rho0, times, tol=ORACLE_TOL)
+    ref = direct_full_span(spec, rho0, times, ORACLE_TOL)
+    assert max(trace_distance(a, b) for a, b in zip(ours.states, ref)) <= 1e-9
+    assert (ours.diagnostics.phase_nodes > 0) == (grid == "dense")
+
+
+@pytest.mark.parametrize("n_taus", [8, 100])
+@pytest.mark.parametrize("name", _DIRECT_SYSTEMS)
+def test_reference_cycle_matches_full_span_stepping(name, n_taus):
+    spec, rho0 = _direct_system(name)
+    period = spec.hamiltonian.period
+    # 100 taus take the Chebyshev path
+    taus = np.arange(n_taus) * (period / n_taus)
+    prop = ReferencePropagator(spec, tol=ORACLE_TOL)
+    state = prop.start(rho0)
+    cycles = {}
+    for n in range(13):
+        cycles[n], state = prop.cycle(state, n, taus)
+    checked = (0, 1, 12)
+    times = np.concatenate([n * period + taus for n in checked])
+    ref = direct_full_span(spec, rho0, times, ORACLE_TOL).reshape(len(checked), n_taus, *rho0.shape)
+    for k, n in enumerate(checked):
+        assert max(trace_distance(a, b) for a, b in zip(cycles[n], ref[k])) <= 1e-9
+
+
+def test_max_step_reaches_the_integrator(monkeypatch):
+    spec, rho0 = _direct_system("criterion-11")
+    basis = compute_basis(spec.hamiltonian)
+    rates = build_terms(basis, spec.channels, k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
+    tol = OdeTol(rtol=1e-9, atol=1e-12, max_step=0.05)
+    taus = np.linspace(0.0, 3.0, 31)
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(kwargs.get("max_step", np.inf))
+        return integrate_adaptive(*args, **kwargs)
+
+    for module in (solver_mod, analysis_mod, lindblad_mod):
+        monkeypatch.setattr(module, "integrate_adaptive", recording)
+    runs = {
+        "direct g1": lambda: correlation_g1(spec, rho0, sigma_minus, taus, tol=tol),
+        "rates g1": lambda: correlation_g1((rates, basis), rho0, sigma_minus, taus, tol=tol),
+        "evolve_direct": lambda: evolve_direct(spec, rho0, taus, tol=tol),
+        "reference cycle": lambda: ReferencePropagator(spec, tol).cycle(unfold(rho0), 0, taus[:4]),
+    }
+    for name, run in runs.items():
+        recorded.clear()
+        run()
+        assert recorded and all(m == 0.05 * spec.hamiltonian.period for m in recorded), name
