@@ -7,6 +7,7 @@ operators expressed in the Floquet mode basis.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -39,6 +40,14 @@ _SPLIT = 16
 # never coincides with a mode grid's and closure_defect always compares two
 # different integrations.
 _MONODROMY_SLICES = 24
+# Stacks of n x n products with n <= _SMALL_N and at least
+# _ENTRYWISE_STACK * n**3 matrices are formed entry by entry.  That costs
+# n**3 NumPy calls of about 1 us whatever the stack length, where matmul
+# costs about 0.25 us per matrix: at n = 2, 30 us against 240 us for 1024
+# matrices but 12 us against 7 us for 24 (the monodromy's block).  At n >= 4
+# the n**3 passes over the stack cost more than matmul at any length.
+_SMALL_N = 3
+_ENTRYWISE_STACK = 8
 
 
 def brillouin_fold(value, omega):
@@ -167,24 +176,75 @@ class FourierOperator:
         return np.sum(self.coeffs[alpha, beta, :] * np.exp(1j * self.k_values * self.omega * t))
 
 
+def _stacked_product(a, b):
+    """``a @ b`` for a complex stack of n x n matrices ``a`` and ``b``
+    broadcast against it.
+
+    For small n and long stacks each entry out[..., i, j] is summed over k
+    into one output array, with one temporary the length of the stack;
+    otherwise matmul.
+    """
+    n = a.shape[-1]
+    if n > _SMALL_N or a.size // (n * n) < _ENTRYWISE_STACK * n**3:
+        return a @ b
+    out = np.empty(a.shape, dtype=complex)
+    term = np.empty(a.shape[:-2], dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            entry = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=entry)
+            for k in range(1, n):
+                np.multiply(a[..., i, k], b[..., k, j], out=term)
+                entry += term
+    return out
+
+
+def _prefix_products(stack):
+    """Replace a C-contiguous (M, n, n) stack V in place by its running
+    products P_j = V_j ... V_1 V_0.
+
+    Blocked in two levels: the M factors are split into blocks of length m,
+    m the largest divisor of M not above sqrt(M); the prefix products within
+    all blocks are formed side by side in m - 1 stacked products, then each
+    block's last product is carried into the next block, one product per
+    block, and one stacked product applies the carries.  Later factors
+    multiply on the left, as in the sequential loop, in about 2 sqrt(M)
+    Python-level products instead of M.
+    """
+    n_factors, n, _ = stack.shape
+    m = max(d for d in range(1, isqrt(n_factors) + 1) if n_factors % d == 0)
+    blocks = stack.reshape(n_factors // m, m, n, n)
+    for i in range(1, m):
+        blocks[:, i] = _stacked_product(blocks[:, i], blocks[:, i - 1])
+    carries = np.empty((blocks.shape[0] - 1, n, n), dtype=blocks.dtype)
+    carries[0] = blocks[0, -1]
+    for b in range(1, carries.shape[0]):
+        carries[b] = blocks[b, -1] @ carries[b - 1]
+    blocks[1:] = _stacked_product(blocks[1:], carries[:, None])
+
+
 def _running_product(h_block, n, n_sub, period, tol):
     """U(t_j, 0) at t_j = j T / n_sub, j = 0 .. n_sub, shape (n_sub + 1, n, n).
 
     The sub-intervals [t_j, t_j + T/n_sub] are integrated side by side as one
     (n_sub, n*n) block from s = 0 to T/n_sub, whose step error is the worst
     sub-interval's; ``h_block(s)`` gives H(t_j + s) for all j, shape
-    (n_sub, n, n).  A running product of the sub-interval propagators V_j
-    gives U(t_{j+1}) = V_j U(t_j).
+    (n_sub, n, n), and the RHS product H(t_j + s) U_j goes entry by entry
+    for n <= 3 and long blocks (:func:`_stacked_product`).  A blocked
+    running product of the sub-interval propagators V_j
+    (:func:`_prefix_products`) gives U(t_{j+1}) = V_j U(t_j).
     """
     def rhs(s, y):
-        return -1j * (h_block(s) @ y.reshape(n_sub, n, n)).reshape(n_sub, n * n)
+        out = _stacked_product(h_block(s), y.reshape(n_sub, n, n))
+        out *= -1j
+        return out.reshape(n_sub, n * n)
 
     y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_sub, 1))
     out, _ = integrate_adaptive(rhs, 0.0, y0, [period / n_sub], rtol=tol.rtol, atol=tol.atol)
     running = np.empty((n_sub + 1, n, n), dtype=complex)
     running[0] = np.eye(n)
-    for j, v in enumerate(out[0].reshape(n_sub, n, n)):
-        running[j + 1] = v @ running[j]
+    running[1:] = out[0].reshape(n_sub, n, n)
+    _prefix_products(running[1:])
     return running
 
 
@@ -193,16 +253,19 @@ def monodromy(hamiltonian, tol=BASIS_TOL):
 
     Integrates dU/dt = -1j H(t) U over 24 sub-intervals [t_j, t_j + T/24]
     of the period, stepped side by side as one block, with H(t_j + s) for all
-    j from one pointwise call ``hamiltonian(t_j + s)`` on the array of
-    times; the running product of their propagators is U(T, 0).  A
-    unitarity defect in [1e-9, 1e-6] is repaired by polar decomposition;
+    j from the Hamiltonian's start-phase table
+    (:meth:`PeriodicHamiltonian.at_offsets`): the phases exp(1j k omega t_j)
+    are tabulated once, so each RHS call costs one ``exp`` per harmonic and
+    one product with the harmonic stack.  The blocked running product of
+    the sub-interval propagators is U(T, 0) (see :func:`_running_product`).
+    A unitarity defect in [1e-9, 1e-6] is repaired by polar decomposition;
     beyond that the integration is considered failed.
     """
     n = hamiltonian.dim
     period = hamiltonian.period
     starts = np.arange(_MONODROMY_SLICES) * (period / _MONODROMY_SLICES)
-    u = _running_product(lambda s: hamiltonian(starts + s), n, _MONODROMY_SLICES,
-                         period, tol)[-1]
+    u = _running_product(hamiltonian.at_offsets(starts), n, _MONODROMY_SLICES, period,
+                         tol)[-1]
     defect = unitarity_defect(u)
     if defect > _REUNITARIZE_TOL:
         raise ValueError(f"monodromy unitarity defect {defect:.3e} exceeds {_REUNITARIZE_TOL:.0e}")
@@ -266,12 +329,14 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     The ``n_samples`` (a power of two) sub-intervals [t_j, t_j + T/N] are
     integrated side by side as one (N, n*n) block, like :func:`monodromy`'s
     sub-intervals, but with H(t_j + s) for all j from one inverse FFT of the
-    harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The running
-    product of the sub-interval propagators gives the grid and a second
-    U(T).  ``closure_defect`` compares that U(T) with ``modes0``, which come
-    from :func:`monodromy`'s integration over a different partition (never a
-    power of two) with the pointwise H(t), so it cross-checks two
-    integrations.
+    harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The blocked
+    running product of the sub-interval propagators (about 2 sqrt(N)
+    Python-level products, see :func:`_running_product`) gives the grid and
+    a second U(T); for n <= 3 and long grids the RHS and running products go
+    entry by entry instead of through matmul.  ``closure_defect`` compares that U(T) with
+    ``modes0``, which come from :func:`monodromy`'s integration over a
+    different partition (never a power of two) with the pointwise H(t) of
+    the start-phase table, so it cross-checks two integrations.
     """
     if n_samples < 2 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError("n_samples must be a power of two (and at least 2)")

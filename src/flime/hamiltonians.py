@@ -165,8 +165,10 @@ class PeriodicHamiltonian:
 
         One ``exp`` table of the harmonic phases times the harmonic stack, so
         an array of times costs one product, not one call per time.  This is
-        the pointwise path, which :func:`~flime.floquet.monodromy` uses;
-        :meth:`on_grid` is the FFT path of the mode grid.
+        the pointwise path; :meth:`at_offsets` evaluates the same sum at
+        shifted times with the start phases tabulated, and is what
+        :func:`~flime.floquet.monodromy` uses.  :meth:`on_grid` is the FFT
+        path of the mode grid.
         """
         n = self.dim
         if isinstance(t, float):
@@ -176,6 +178,24 @@ class PeriodicHamiltonian:
         t = np.asarray(t, dtype=float)
         phases = np.exp(1j * np.multiply.outer(t, self._freqs))
         return np.dot(phases, self._stack).reshape(*t.shape, n, n)
+
+    def at_offsets(self, starts):
+        """Function ``s -> H(starts + s)``, shape (len(starts), n, n).
+
+        The start phases exp(1j k omega t_j) are tabulated once, so each call
+        costs one ``exp`` per harmonic, exp(1j k omega s), and one product
+        with the harmonic stack, instead of an ``exp`` table over all start
+        times.  H stays a pointwise sum over harmonics, as in
+        :meth:`__call__`.
+        """
+        starts = np.asarray(starts, dtype=float)
+        table = np.exp(1j * np.multiply.outer(starts, self._freqs))
+        shape = (starts.size, self.dim, self.dim)
+
+        def h_at(s):
+            return np.dot(table * np.exp(1j * s * self._freqs), self._stack).reshape(shape)
+
+        return h_at
 
     def on_grid(self, n_samples, shift=0.0):
         """H(t_j + shift) at t_j = j T / n_samples, j < n_samples, shape (n_samples, n, n).

@@ -44,22 +44,31 @@ def random_single_harmonic_system(rng, n, with_channel=True):
 
 def rk4_matrix_propagator(hamiltonian, t_end, n_steps, t_start=0.0):
     """Fixed-step RK4 for dU/dt = -1j H(t) U, U(t_start) = 1 (oracle)."""
+    return rk4_matrix_samples(hamiltonian, t_end, n_steps, n_steps, t_start)[-1]
+
+
+def rk4_matrix_samples(hamiltonian, t_end, n_steps, every, t_start=0.0):
+    """U(t_start + j * every * dt) for j = 0 .. n_steps // every from one
+    fixed-step RK4 pass with dt = (t_end - t_start) / n_steps (oracle)."""
     n = hamiltonian.dim
     u = np.eye(n, dtype=complex)
     dt = (t_end - t_start) / n_steps
     t = t_start
+    samples = [u]
 
     def f(t, u):
         return -1j * hamiltonian(t) @ u
 
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         k1 = f(t, u)
         k2 = f(t + dt / 2, u + dt / 2 * k1)
         k3 = f(t + dt / 2, u + dt / 2 * k2)
         k4 = f(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-    return u
+        if step % every == 0:
+            samples.append(u)
+    return np.array(samples)
 
 
 def rk4_schrodinger_states(hamiltonian, psi0, times, steps_per_unit=8192):

@@ -5,7 +5,8 @@ from flime import (OdeTol, PeriodicHamiltonian, brillouin_fold, build_pulse_trai
                    compute_basis, floquet, floquet_decompose, fourier_coefficients,
                    integrate_adaptive, mode_grid, monodromy, sigma_minus,
                    unitarity_defect)
-from conftest import random_single_harmonic_system, rk4_matrix_propagator
+from conftest import (random_single_harmonic_system, rk4_matrix_propagator,
+                      rk4_matrix_samples)
 
 
 def _eq29_system():
@@ -51,7 +52,8 @@ def _record_integrations(monkeypatch):
 
 
 class _CountingHamiltonian:
-    """Counts pointwise H(t) calls and on_grid calls of a Hamiltonian."""
+    """Counts pointwise H(t) calls (direct or through the start-phase table
+    of at_offsets) and on_grid calls of a Hamiltonian."""
 
     def __init__(self, hamiltonian):
         self._hamiltonian = hamiltonian
@@ -61,6 +63,15 @@ class _CountingHamiltonian:
     def __call__(self, t):
         self.calls += 1
         return self._hamiltonian(t)
+
+    def at_offsets(self, starts):
+        h_at = self._hamiltonian.at_offsets(starts)
+
+        def counting(s):
+            self.calls += 1
+            return h_at(s)
+
+        return counting
 
     def on_grid(self, n_samples, shift=0.0):
         self.grid_calls += 1
@@ -216,11 +227,38 @@ class TestModeGrid:
     def test_batched_grid_matches_sequential_oracle(self, rng, system, n_samples):
         h = _system(system, rng)
         basis = compute_basis(h, n_samples=n_samples)
-        oracle = _sequential_propagators(h, basis.grid_times)
-        assert np.max(np.abs(basis.propagators - oracle)) < 1e-10
+        oracle = _sequential_propagators(h, [*basis.grid_times, h.period])
+        assert np.max(np.abs(basis.propagators - oracle[:-1])) < 1e-10
+        assert np.max(np.abs(basis.grid_monodromy - oracle[-1])) < 1e-10
         phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
-        modes = np.einsum("tij,jb,tb->tib", oracle, basis.modes0, phases)
+        modes = np.einsum("tij,jb,tb->tib", oracle[:-1], basis.modes0, phases)
         assert np.max(np.abs(basis.mode_grid - modes)) < 1e-10
+        assert basis.closure_defect < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n_sub", [2, 24, 256, 1024])
+    def test_blocked_running_product_matches_sequential_loop(self, rng, n_sub, n):
+        factors, _ = np.linalg.qr(rng.normal(size=(n_sub, n, n))
+                                  + 1j * rng.normal(size=(n_sub, n, n)))
+        loop = np.empty_like(factors)
+        loop[0] = factors[0]
+        for j in range(1, n_sub):
+            loop[j] = factors[j] @ loop[j - 1]
+        blocked = factors.copy()
+        floquet._prefix_products(blocked)
+        assert np.max(np.abs(blocked - loop)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [24, 1024])
+    def test_stacked_product_matches_matmul(self, rng, monkeypatch, count, n):
+        # entry by entry for every n <= 3, whatever the stack length
+        monkeypatch.setattr(floquet, "_ENTRYWISE_STACK", 0)
+        a, b = rng.normal(size=(2, count, n, n)) + 1j * rng.normal(size=(2, count, n, n))
+        assert np.max(np.abs(floquet._stacked_product(a, b) - a @ b)) <= 1e-13
+        # one factor broadcast over a stack axis, as the carries are applied
+        c = b[:count // 8, None]
+        a = a.reshape(count // 8, 8, n, n)
+        assert np.max(np.abs(floquet._stacked_product(a, c) - a @ c)) <= 1e-13
 
     def test_pulse_train_grid_takes_few_steps(self, monkeypatch):
         # the 1024 sub-intervals are stepped together, so the grid costs a
@@ -325,14 +363,13 @@ class TestFourierCoefficients:
         expected = sorted([-omega0 - 2 * g, -omega0, -omega0, -omega0 + 2 * g])
         assert np.max(np.abs(np.array(freqs) - expected)) < 1e-8
 
-        # dense quadrature oracle for every retained coefficient
+        # dense quadrature oracle for every retained coefficient, from one
+        # RK4 pass at dt = T/2048 sampled every 4th step
         n_t = 512
         ts = np.arange(n_t) / n_t * h.period
-        elements = np.empty((n_t, 2, 2), dtype=complex)
-        for j, t in enumerate(ts):
-            u = rk4_matrix_propagator(h, t, 2048) if t > 0 else np.eye(2, dtype=complex)
-            phi = u @ basis.modes0 * np.exp(1j * basis.quasienergies * t)[None, :]
-            elements[j] = phi.conj().T @ sigma_minus @ phi
+        us = rk4_matrix_samples(h, h.period, 2048, 2048 // n_t)[:n_t]
+        phi = us @ basis.modes0 * np.exp(1j * np.outer(ts, basis.quasienergies))[:, None, :]
+        elements = phi.conj().transpose(0, 2, 1) @ np.asarray(sigma_minus) @ phi
         for k in range(-2, 3):
             oracle = np.mean(elements * np.exp(-1j * k * basis.omega * ts)[:, None, None], axis=0)
             assert np.max(np.abs(four.coeffs[:, :, k + 6] - oracle)) < 1e-7

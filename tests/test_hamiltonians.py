@@ -88,6 +88,17 @@ class TestPeriodicHamiltonian:
             assert h(t).shape == (2, 2)
         assert np.max(np.abs(h(1) - h(1.0))) == 0.0
 
+    def test_start_phase_table_matches_array_calls(self, rng):
+        # the monodromy's path: start phases tabulated once, one exp per
+        # harmonic per call, on the 81-harmonic pulse train
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        starts = np.arange(24) * (h.period / 24)
+        h_at = h.at_offsets(starts)
+        for s in (0.0, *rng.uniform(0, h.period / 24, 5)):
+            direct = h(starts + s)
+            assert h_at(s).shape == direct.shape
+            assert np.max(np.abs(h_at(s) - direct)) <= 1e-13 * np.max(np.abs(direct))
+
     def test_periodicity(self, rng):
         h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, 0.8, 0.8)
         for t in rng.uniform(0, 7, 9):
