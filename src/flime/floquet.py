@@ -223,16 +223,15 @@ def _prefix_products(stack):
     blocks[1:] = _stacked_product(blocks[1:], carries[:, None])
 
 
-def _running_product(h_block, n, n_sub, period, tol):
-    """U(t_j, 0) at t_j = j T / n_sub, j = 0 .. n_sub, shape (n_sub + 1, n, n).
+def _sub_propagators(h_block, n, n_sub, period, tol):
+    """Propagators V_j = U(t_j + T/n_sub, t_j) at t_j = j T / n_sub,
+    j < n_sub, shape (n_sub, n, n).
 
     The sub-intervals [t_j, t_j + T/n_sub] are integrated side by side as one
     (n_sub, n*n) block from s = 0 to T/n_sub, whose step error is the worst
     sub-interval's; ``h_block(s)`` gives H(t_j + s) for all j, shape
     (n_sub, n, n), and the RHS product H(t_j + s) U_j goes entry by entry
-    for n <= 3 and long blocks (:func:`_stacked_product`).  A blocked
-    running product of the sub-interval propagators V_j
-    (:func:`_prefix_products`) gives U(t_{j+1}) = V_j U(t_j).
+    for n <= 3 and long blocks (:func:`_stacked_product`).
     """
     def rhs(s, y):
         out = _stacked_product(h_block(s), y.reshape(n_sub, n, n))
@@ -241,31 +240,28 @@ def _running_product(h_block, n, n_sub, period, tol):
 
     y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_sub, 1))
     out, _ = integrate_adaptive(rhs, 0.0, y0, [period / n_sub], rtol=tol.rtol, atol=tol.atol)
-    running = np.empty((n_sub + 1, n, n), dtype=complex)
-    running[0] = np.eye(n)
-    running[1:] = out[0].reshape(n_sub, n, n)
-    _prefix_products(running[1:])
-    return running
+    return out[0].reshape(n_sub, n, n)
 
 
 def monodromy(hamiltonian, tol=BASIS_TOL):
     """One-period propagator U(T, 0) of a periodic Hamiltonian.
 
     Integrates dU/dt = -1j H(t) U over 24 sub-intervals [t_j, t_j + T/24]
-    of the period, stepped side by side as one block, with H(t_j + s) for all
-    j from the Hamiltonian's start-phase table
-    (:meth:`PeriodicHamiltonian.at_offsets`): the phases exp(1j k omega t_j)
-    are tabulated once, so each RHS call costs one ``exp`` per harmonic and
-    one product with the harmonic stack.  The blocked running product of
-    the sub-interval propagators is U(T, 0) (see :func:`_running_product`).
-    A unitarity defect in [1e-9, 1e-6] is repaired by polar decomposition;
-    beyond that the integration is considered failed.
+    of the period, stepped side by side as one block
+    (:func:`_sub_propagators`), with H(t_j + s) for all j from one pointwise
+    call ``hamiltonian(t_j + s)`` on the array of times.  Only the full
+    product of their propagators, U(T, 0) = V_23 ... V_1 V_0, is needed, so
+    it is taken one factor at a time.  A unitarity defect in [1e-9, 1e-6] is
+    repaired by polar decomposition; beyond that the integration is
+    considered failed.
     """
     n = hamiltonian.dim
     period = hamiltonian.period
     starts = np.arange(_MONODROMY_SLICES) * (period / _MONODROMY_SLICES)
-    u = _running_product(hamiltonian.at_offsets(starts), n, _MONODROMY_SLICES, period,
-                         tol)[-1]
+    u = np.eye(n, dtype=complex)
+    for v in _sub_propagators(lambda s: hamiltonian(starts + s), n, _MONODROMY_SLICES,
+                              period, tol):
+        u = v @ u
     defect = unitarity_defect(u)
     if defect > _REUNITARIZE_TOL:
         raise ValueError(f"monodromy unitarity defect {defect:.3e} exceeds {_REUNITARIZE_TOL:.0e}")
@@ -329,22 +325,27 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     The ``n_samples`` (a power of two) sub-intervals [t_j, t_j + T/N] are
     integrated side by side as one (N, n*n) block, like :func:`monodromy`'s
     sub-intervals, but with H(t_j + s) for all j from one inverse FFT of the
-    harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The blocked
-    running product of the sub-interval propagators (about 2 sqrt(N)
-    Python-level products, see :func:`_running_product`) gives the grid and
-    a second U(T); for n <= 3 and long grids the RHS and running products go
-    entry by entry instead of through matmul.  ``closure_defect`` compares that U(T) with
-    ``modes0``, which come from :func:`monodromy`'s integration over a
-    different partition (never a power of two) with the pointwise H(t) of
-    the start-phase table, so it cross-checks two integrations.
+    harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The running
+    product U(t_{j+1}) = V_j U(t_j) of the sub-interval propagators gives the
+    grid and a second U(T); it is blocked (:func:`_prefix_products`), about
+    2 sqrt(N) NumPy calls instead of N sequential products.  For n <= 3 the
+    RHS and running products of the long grid go entry by entry instead of
+    through matmul (:func:`_stacked_product`).  ``closure_defect`` compares
+    that U(T) with ``modes0``, which come from :func:`monodromy`'s
+    integration over a different partition (never a power of two) with the
+    pointwise H(t), so it cross-checks two integrations.
     """
     if n_samples < 2 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError("n_samples must be a power of two (and at least 2)")
     n = hamiltonian.dim
     period = hamiltonian.period
     times = np.arange(n_samples) * (period / n_samples)
-    running = _running_product(lambda s: hamiltonian.on_grid(n_samples, s), n, n_samples,
+    factors = _sub_propagators(lambda s: hamiltonian.on_grid(n_samples, s), n, n_samples,
                                period, tol)
+    running = np.empty((n_samples + 1, n, n), dtype=complex)
+    running[0] = np.eye(n)
+    running[1:] = factors
+    _prefix_products(running[1:])
     propagators = running[:-1]
     u_final = running[-1]
 

@@ -143,13 +143,17 @@ class PeriodicHamiltonian:
                 raise ValueError(
                     f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
         object.__setattr__(self, "_harmonics", harmonics)
-        # H(t) = exp(1j * t * freqs) . stack, with the static part as the
-        # frequency-zero row, so one product per call
-        harmonic_ids = np.array([0, *harmonics], dtype=int)
+        # H(t) = exp(1j * t * freqs) . stack, so one product per call.  Row 0
+        # is the frequency-zero part (static plus any harmonic 0), then the
+        # positive harmonics, then their negative partners in the same order,
+        # whose phases are the conjugates of the positive ones.
+        positive = sorted(k for k in harmonics if k > 0)
+        harmonic_ids = np.array([0, *positive, *(-k for k in positive)], dtype=int)
         object.__setattr__(self, "_harmonic_ids", harmonic_ids)
         object.__setattr__(self, "_freqs", self.omega * harmonic_ids.astype(float))
         object.__setattr__(self, "_stack", np.array(
-            [static.ravel(), *(agg.ravel() for agg in harmonics.values())]))
+            [(static + harmonics.get(0, 0)).ravel(),
+             *(harmonics[k].ravel() for k in harmonic_ids[1:])]))
 
     @property
     def dim(self):
@@ -163,11 +167,12 @@ class PeriodicHamiltonian:
         """Evaluate H(t): shape (n, n) for a scalar ``t``, (*t.shape, n, n)
         for an array of times.
 
-        One ``exp`` table of the harmonic phases times the harmonic stack, so
-        an array of times costs one product, not one call per time.  This is
-        the pointwise path; :meth:`at_offsets` evaluates the same sum at
-        shifted times with the start phases tabulated, and is what
-        :func:`~flime.floquet.monodromy` uses.  :meth:`on_grid` is the FFT
+        One table of the harmonic phases times the harmonic stack, so an
+        array of times costs one product, not one call per time.  Only the
+        positive harmonics' phases go through ``exp``; each negative
+        partner's phase is their conjugate, which halves the ``exp`` count of
+        the table.  This is the pointwise path, which
+        :func:`~flime.floquet.monodromy` uses; :meth:`on_grid` is the FFT
         path of the mode grid.
         """
         n = self.dim
@@ -176,26 +181,13 @@ class PeriodicHamiltonian:
             # skips the array set-up, which would double the call's cost
             return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(n, n)
         t = np.asarray(t, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(t, self._freqs))
+        n_positive = self._freqs.size // 2
+        phases = np.empty((*t.shape, self._freqs.size), dtype=complex)
+        phases[..., 0] = 1.0
+        positive = phases[..., 1:n_positive + 1]
+        np.exp(1j * np.multiply.outer(t, self._freqs[1:n_positive + 1]), out=positive)
+        np.conjugate(positive, out=phases[..., n_positive + 1:])
         return np.dot(phases, self._stack).reshape(*t.shape, n, n)
-
-    def at_offsets(self, starts):
-        """Function ``s -> H(starts + s)``, shape (len(starts), n, n).
-
-        The start phases exp(1j k omega t_j) are tabulated once, so each call
-        costs one ``exp`` per harmonic, exp(1j k omega s), and one product
-        with the harmonic stack, instead of an ``exp`` table over all start
-        times.  H stays a pointwise sum over harmonics, as in
-        :meth:`__call__`.
-        """
-        starts = np.asarray(starts, dtype=float)
-        table = np.exp(1j * np.multiply.outer(starts, self._freqs))
-        shape = (starts.size, self.dim, self.dim)
-
-        def h_at(s):
-            return np.dot(table * np.exp(1j * s * self._freqs), self._stack).reshape(shape)
-
-        return h_at
 
     def on_grid(self, n_samples, shift=0.0):
         """H(t_j + shift) at t_j = j T / n_samples, j < n_samples, shape (n_samples, n, n).

@@ -52,8 +52,7 @@ def _record_integrations(monkeypatch):
 
 
 class _CountingHamiltonian:
-    """Counts pointwise H(t) calls (direct or through the start-phase table
-    of at_offsets) and on_grid calls of a Hamiltonian."""
+    """Counts pointwise H(t) calls and on_grid calls of a Hamiltonian."""
 
     def __init__(self, hamiltonian):
         self._hamiltonian = hamiltonian
@@ -63,15 +62,6 @@ class _CountingHamiltonian:
     def __call__(self, t):
         self.calls += 1
         return self._hamiltonian(t)
-
-    def at_offsets(self, starts):
-        h_at = self._hamiltonian.at_offsets(starts)
-
-        def counting(s):
-            self.calls += 1
-            return h_at(s)
-
-        return counting
 
     def on_grid(self, n_samples, shift=0.0):
         self.grid_calls += 1

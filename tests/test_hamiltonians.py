@@ -51,16 +51,23 @@ class TestPeriodicHamiltonian:
         assert h(0.0) is not h.static_part
 
     def test_matches_term_by_term_sum(self, rng):
-        # repeated harmonics are aggregated once at construction
+        # repeated harmonics are aggregated once at construction, and a
+        # harmonic-0 term adds to the static part; both the scalar path and
+        # the array path (negative harmonics' phases by conjugation) agree
         h = build_pulse_train(0.3, 1.0, n_harmonics=40)
         extra = HarmonicTerm(0.2 * np.array([[0.0, 1.0], [0.0, 0.0]]), 3, 1.0 + 0.5j)
+        constant = HarmonicTerm(np.array([[0.1, 0.05j], [-0.05j, -0.2]]), 0, 1.0)
         h = PeriodicHamiltonian(h.omega, h.static_part,
-                                h.terms + (extra, HarmonicTerm(extra.matrix.conj().T, -3, 1.0 - 0.5j)))
-        for t in rng.uniform(0, 3, 7):
+                                (constant, HarmonicTerm(extra.matrix.conj().T, -3, 1.0 - 0.5j),
+                                 *h.terms, extra))
+        times = rng.uniform(0, 3, 7)
+        values = h(times)
+        for t, value in zip(times, values):
             loop = h.static_part.copy()
             for term in h.terms:
                 loop += term.amplitude * np.exp(1j * term.harmonic * h.omega * t) * term.matrix
             assert np.max(np.abs(h(t) - loop)) < 1e-13
+            assert np.max(np.abs(value - loop)) < 1e-13
 
     @pytest.mark.parametrize("n_samples", [8, 64, 1024])
     def test_on_grid_matches_pointwise_calls(self, rng, n_samples):
@@ -87,17 +94,6 @@ class TestPeriodicHamiltonian:
         for t in (0.3, np.float64(0.3), 1, np.array(0.3)):
             assert h(t).shape == (2, 2)
         assert np.max(np.abs(h(1) - h(1.0))) == 0.0
-
-    def test_start_phase_table_matches_array_calls(self, rng):
-        # the monodromy's path: start phases tabulated once, one exp per
-        # harmonic per call, on the 81-harmonic pulse train
-        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
-        starts = np.arange(24) * (h.period / 24)
-        h_at = h.at_offsets(starts)
-        for s in (0.0, *rng.uniform(0, h.period / 24, 5)):
-            direct = h(starts + s)
-            assert h_at(s).shape == direct.shape
-            assert np.max(np.abs(h_at(s) - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_periodicity(self, rng):
         h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, 0.8, 0.8)
