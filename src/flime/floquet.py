@@ -11,7 +11,7 @@ from math import isqrt
 
 import numpy as np
 
-from .integrate import OdeTol, integrate_adaptive
+from .integrate import OdeTol, integrate_adaptive, _repeat_memo
 from .qops import unitarity_defect
 
 __all__ = [
@@ -231,8 +231,11 @@ def _sub_propagators(h_block, n, n_sub, period, tol):
     (n_sub, n*n) block from s = 0 to T/n_sub, whose step error is the worst
     sub-interval's; ``h_block(s)`` gives H(t_j + s) for all j, shape
     (n_sub, n, n), and the RHS product H(t_j + s) U_j goes entry by entry
-    for n <= 3 and long blocks (:func:`_stacked_product`).
+    for n <= 3 and long blocks (:func:`_stacked_product`).  A stage at the
+    previous stage's s reuses its H block (:func:`_repeat_memo`).
     """
+    h_block = _repeat_memo(h_block)
+
     def rhs(s, y):
         out = _stacked_product(h_block(s), y.reshape(n_sub, n, n))
         out *= -1j
@@ -329,11 +332,12 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     product U(t_{j+1}) = V_j U(t_j) of the sub-interval propagators gives the
     grid and a second U(T); it is blocked (:func:`_prefix_products`), about
     2 sqrt(N) NumPy calls instead of N sequential products.  For n <= 3 the
-    RHS and running products of the long grid go entry by entry instead of
-    through matmul (:func:`_stacked_product`).  ``closure_defect`` compares
-    that U(T) with ``modes0``, which come from :func:`monodromy`'s
-    integration over a different partition (never a power of two) with the
-    pointwise H(t), so it cross-checks two integrations.
+    RHS, the running products and the modes U(t_j) modes0 of the long grid
+    go entry by entry instead of through matmul (:func:`_stacked_product`).
+    ``closure_defect`` compares that U(T) with ``modes0``, which come from
+    :func:`monodromy`'s integration over a different partition (never a
+    power of two) with the pointwise H(t), so it cross-checks two
+    integrations.
     """
     if n_samples < 2 or (n_samples & (n_samples - 1)) != 0:
         raise ValueError("n_samples must be a power of two (and at least 2)")
@@ -349,8 +353,8 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     propagators = running[:-1]
     u_final = running[-1]
 
-    phases = np.exp(1j * np.outer(times, quasienergies))
-    modes = np.einsum("tij,jb,tb->tib", propagators, modes0, phases)
+    modes = _stacked_product(propagators, modes0)
+    modes *= np.exp(1j * np.outer(times, quasienergies))[:, None, :]
     closing = (u_final @ modes0) * np.exp(1j * quasienergies * period)
     closure = float(np.max(np.abs(closing - modes0)))
     return FloquetBasis(
@@ -376,14 +380,16 @@ def fourier_coefficients(basis, operator, k_max):
     """Fourier coefficients of ``<phi_a(t)|operator|phi_b(t)>`` over the grid.
 
     Discrete Fourier analysis on the mode grid; requires
-    ``k_max < n_samples / 2``.
+    ``k_max < n_samples / 2``.  The elements phi(t)^dag operator phi(t) on
+    the grid are two stacked products (:func:`_stacked_product`).
     """
     operator = np.asarray(operator, dtype=complex)
     if operator.shape != (basis.dim, basis.dim):
         raise ValueError(f"operator shape {operator.shape} does not match basis dim {basis.dim}")
     if not 0 <= k_max < basis.n_samples / 2:
         raise ValueError(f"k_max must satisfy 0 <= k_max < n_samples/2 = {basis.n_samples / 2}")
-    elements = np.einsum("tia,ij,tjb->tab", basis.mode_grid.conj(), operator, basis.mode_grid)
+    grid = basis.mode_grid
+    elements = _stacked_product(_stacked_product(grid.conj().transpose(0, 2, 1), operator), grid)
     spectrum = np.fft.fft(elements, axis=0) / basis.n_samples
     idx = [k % basis.n_samples for k in range(-k_max, k_max + 1)]
     coeffs = np.moveaxis(spectrum[idx], 0, -1)

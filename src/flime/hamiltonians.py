@@ -125,35 +125,41 @@ class PeriodicHamiltonian:
         object.__setattr__(self, "terms", tuple(self.terms))
 
         n = static.shape[0]
-        harmonics = {}
         for term in self.terms:
             if term.matrix.shape != (n, n):
                 raise ValueError("all harmonic terms must share the static part's dimension")
-            agg = harmonics.setdefault(term.harmonic, np.zeros((n, n), dtype=complex))
-            agg += term.amplitude * term.matrix
-        scale = max(1.0, float(np.max(np.abs(static))) if static.size else 1.0)
-        for agg in harmonics.values():
-            scale = max(scale, float(np.max(np.abs(agg))))
+        # The terms of each harmonic are summed in term order into one stack
+        # row; ids are the distinct harmonics, sorted.
+        ids, first, row = np.unique(np.array([term.harmonic for term in self.terms], dtype=int),
+                                    return_index=True, return_inverse=True)
+        amplitudes = np.array([term.amplitude for term in self.terms], dtype=complex)
+        matrices = np.array([term.matrix for term in self.terms], dtype=complex).reshape(-1, n, n)
+        stack = np.zeros((ids.size, n, n), dtype=complex)
+        np.add.at(stack, row, amplitudes[:, None, None] * matrices)
+        scale = max(1.0, np.abs(static).max(initial=0.0), np.abs(stack).max(initial=0.0))
         tol = _HERM_TOL * scale
         if hermiticity_defect(static) > tol:
             raise ValueError("static part is not Hermitian")
-        for k, agg in harmonics.items():
-            partner = harmonics.get(-k)
-            if partner is None or np.max(np.abs(agg.conj().T - partner)) > tol:
-                raise ValueError(
-                    f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
-        object.__setattr__(self, "_harmonics", harmonics)
+        partner = np.minimum(np.searchsorted(ids, -ids), ids.size - 1)
+        defect = np.abs(stack.conj().transpose(0, 2, 1) - stack[partner]).max(
+            axis=(1, 2), initial=0.0)
+        bad = (ids[partner] != -ids) | (defect > tol)
+        if bad.any():
+            k = int(ids[bad][np.argmin(first[bad])])
+            raise ValueError(
+                f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
+        object.__setattr__(self, "_harmonics", dict(zip(ids.tolist(), stack)))
         # H(t) = exp(1j * t * freqs) . stack, so one product per call.  Row 0
         # is the frequency-zero part (static plus any harmonic 0), then the
         # positive harmonics, then their negative partners in the same order,
         # whose phases are the conjugates of the positive ones.
-        positive = sorted(k for k in harmonics if k > 0)
-        harmonic_ids = np.array([0, *positive, *(-k for k in positive)], dtype=int)
+        positive = ids[ids > 0]
+        harmonic_ids = np.concatenate(([0], positive, -positive))
         object.__setattr__(self, "_harmonic_ids", harmonic_ids)
         object.__setattr__(self, "_freqs", self.omega * harmonic_ids.astype(float))
-        object.__setattr__(self, "_stack", np.array(
-            [(static + harmonics.get(0, 0)).ravel(),
-             *(harmonics[k].ravel() for k in harmonic_ids[1:])]))
+        object.__setattr__(self, "_stack", np.concatenate((
+            (static + stack[ids == 0].sum(axis=0)).reshape(1, n * n),
+            stack[np.searchsorted(ids, harmonic_ids[1:])].reshape(-1, n * n))))
 
     @property
     def dim(self):

@@ -101,6 +101,30 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
+def _repeat_memo(fn):
+    """Wrap ``t -> fn(t)`` so that a call at the previous call's t returns
+    the previous value instead of evaluating ``fn`` again.
+
+    The last two Dormand-Prince stages both sit at t + h, so a right-hand
+    side that builds an operator of t builds it once per step instead of
+    twice.  The value serves that one repeat call and is then dropped, and
+    a new evaluation drops the old value first, so at most one value is
+    held, and none between steps.
+    """
+    last_t = last = None
+
+    def memo(t):
+        nonlocal last_t, last
+        if t == last_t:
+            value, last_t, last = last, None, None
+            return value
+        last = None
+        last, last_t = fn(t), t
+        return last
+
+    return memo
+
+
 def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
                        max_step=np.inf):
     """Integrate dy/dt = rhs(t, y) from ``t0``, sampling at ``t_out``.

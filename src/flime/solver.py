@@ -13,11 +13,13 @@ factor, ``|delta| / |S * S'|``, does not exceed ``secular_cutoff``.
 
 Whatever the cutoff, the kept tuples live in one store: in the frame rotated
 by the quasienergy gaps every tuple oscillates at (k - k') * omega only, so
-the rate superoperator is a stack of 4 k_max + 1 rotated-frame harmonics (see
-:class:`RateTermSet`).  Evaluating it costs one sum over the harmonics and
-one elementwise phase, independent of how many distinct frequencies delta
-the kept tuples have; that count, ``n_frequency_groups``, is reported for
-information only.
+the rate superoperator is a sum of 4 k_max + 1 rotated-frame harmonics.  The
+dissipator preserves Hermiticity, so harmonic -m is the conjugate of
+harmonic m at index-transposed positions, and only m = 0 ... 2 k_max are
+stored (see :class:`RateTermSet`).  Evaluating it costs one sum over the
+stored harmonics, one elementwise phase and one mirrored addition,
+independent of how many distinct frequencies delta the kept tuples have;
+that count, ``n_frequency_groups``, is reported for information only.
 
 States are propagated in the Floquet interaction picture (time-dependent
 basis of Floquet states), where the coherent evolution is carried entirely
@@ -37,9 +39,10 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .floquet import fourier_coefficients
-from .integrate import IntegratorStats, OdeTol, integrate_adaptive
+from .integrate import IntegratorStats, OdeTol, integrate_adaptive, _repeat_memo
 from .qops import check_density_matrix, hermiticity_defect, unfold
 
 __all__ = [
@@ -90,18 +93,26 @@ class RateTermSet:
     ``gaps[p] = eps_a - eps_a'``.  A kept tuple adds to harmonic
     m = k - k' at the sandwich position (p, q) = ((alpha, alpha'),
     (beta, beta')), where it oscillates at m * omega + gaps[p] - gaps[q].
-    With ``harmonics[m + 2 * k_max]`` the superoperator R~_m, the
-    Floquet-picture rate matrix is therefore
+    With R~_m the harmonic superoperators, the Floquet-picture rate matrix
+    is therefore
 
         R(t)[p, q] = exp(1j*(gaps[p] - gaps[q])*t) * sum_m R~_m[p, q] exp(1j*m*omega*t).
+
+    Swapping the two tuples of a pair maps its contribution at (m, p, q) to
+    the conjugate at (-m, p~, q~), p~ = (a', a) the transposed index, so
+    R~_{-m}[p, q] = conj(R~_m[p~, q~]): the dissipator preserves
+    Hermiticity.  ``harmonics[m]`` therefore holds R~_m for m = 0 ... 2 k_max
+    only, shape (2 k_max + 1, n^2, n^2); with B(t) the formula above summed
+    over m >= 0 only, harmonic 0 weighted 1/2,
+    R(t)[p, q] = B(t)[p, q] + conj(B(t)[p~, q~]).
 
     This one store serves complete, filtered and static sets alike, and
     evaluating R(t) costs the same however many distinct frequencies the
     kept tuples have.  ``deltas`` holds those distinct nonzero frequencies
-    and, with ``n_frequency_groups`` and the term counts, is reported for
-    information.  ``fourier_tail`` is the largest ``FourierOperator.tail``
-    of a channel relative to its largest coefficient: a truncation check on
-    ``k_max``.
+    and, with ``n_frequency_groups`` and the term counts (which count every
+    tuple pair, both orders), is reported for information.
+    ``fourier_tail`` is the largest ``FourierOperator.tail`` of a channel
+    relative to its largest coefficient: a truncation check on ``k_max``.
     """
 
     dim: int
@@ -125,15 +136,38 @@ class RateTermSet:
 
     @property
     def static_part(self):
-        """The secular (delta = 0) part of R(t), a constant superoperator."""
+        """The secular (delta = 0) part of R(t), a constant superoperator.
+
+        A secular entry's mirror is secular too, so this is the half sum of
+        the secular entries plus its mirror.
+        """
         freqs = _frequencies(self.omega, self.k_max, self.gaps)
-        return np.sum(self.harmonics, axis=0, where=np.abs(freqs) <= _SECULAR_REL_TOL * self.omega)
+        secular = np.abs(freqs) <= _SECULAR_REL_TOL * self.omega
+        half = np.sum(self.harmonics[1:], axis=0, where=secular[1:])
+        half += 0.5 * np.where(secular[0], self.harmonics[0], 0.0)
+        return _mirror(half.ravel(), _mirror_index(self.dim)).reshape(half.shape)
 
 
 def _frequencies(omega, k_max, gaps):
-    """Frequency m * omega + gaps[p] - gaps[q] of every harmonic entry."""
-    m = np.arange(-2 * k_max, 2 * k_max + 1) * omega
+    """Frequency m * omega + gaps[p] - gaps[q] of every stored harmonic
+    entry, m = 0 ... 2 k_max."""
+    m = np.arange(2 * k_max + 1) * omega
     return m[:, None, None] + np.subtract.outer(gaps, gaps)[None]
+
+
+def _mirror_index(n):
+    """Flat position of (p~, q~) for each flat position (p, q) of an
+    (n^2, n^2) superoperator, p~ the transposed supervector index."""
+    return np.arange(n**4).reshape(n, n, n, n).transpose(1, 0, 3, 2).ravel()
+
+
+def _mirror(half, index):
+    """``half + conj(half[p~, q~])`` of a flattened superoperator, with
+    ``index`` from :func:`_mirror_index` (see :class:`RateTermSet`)."""
+    out = half.take(index)
+    np.conjugate(out, out=out)
+    out += half
+    return out
 
 
 def _tuple_table(basis, channel, k_max):
@@ -161,24 +195,47 @@ def _cluster(deltas, omega):
 
 
 def _sampled_harmonics(rate, coeffs):
-    """Harmonics of one complete channel from samples of its dissipator.
+    """Harmonics m = 0 ... 2 k_max of one complete channel from samples of
+    its dissipator.
 
     The rotated-frame operator S~(theta) = sum_k c_k exp(1j*k*theta) has
     degree k_max, so its sandwich conj(S~) (x) S~ and S~^dag S~ have degree
-    2 k_max: 4 k_max + 1 samples and one FFT give their harmonics exactly.
-    Weighting the samples by exp(2j*k_max*theta) puts harmonic m in FFT bin
-    m + 2 k_max.  Returns the sandwich harmonics and those of S~^dag S~.
+    2 k_max: a DFT of 4 k_max + 1 samples gives their harmonics exactly,
+    harmonic m in bin m mod (4 k_max + 1).  Only bins m >= 0 are needed, so
+    they are one product with those rows of the DFT matrix, which is also
+    faster than an FFT of this odd length.  The sandwich samples are one
+    broadcast outer product.  Returns the sandwich harmonics and those of
+    S~^dag S~, flattened: shapes (2 k_max + 1, n^4) and (2 k_max + 1, n^2).
     """
     k_max = (coeffs.shape[2] - 1) // 2
-    size = 4 * k_max + 1
-    n = coeffs.shape[0]
-    theta = 2.0 * np.pi * np.arange(size) / size
+    samples = 4 * k_max + 1
+    keep = 2 * k_max + 1
+    steps = np.arange(samples)
+    theta = 2.0 * np.pi * steps / samples
     s = np.moveaxis(coeffs @ np.exp(1j * np.outer(np.arange(-k_max, k_max + 1), theta)), 2, 0)
-    weight = rate * np.exp(2j * k_max * theta)
-    sandwich = np.einsum("xij,xkl,x->xikjl", s.conj(), s, weight).reshape(size, n * n, n * n)
-    anti = (s.conj().transpose(0, 2, 1) @ s) * weight[:, None, None]
-    return (np.fft.fft(sandwich, axis=0, norm="forward", out=sandwich),
-            np.fft.fft(anti, axis=0, norm="forward", out=anti))
+    sandwich = (rate * s.conj())[:, :, None, :, None] * s[:, None, :, None, :]
+    anti = rate * (s.conj().transpose(0, 2, 1) @ s)
+    dft = np.exp(-2j * np.pi / samples * (np.outer(np.arange(keep), steps) % samples))
+    dft /= samples
+    return dft @ sandwich.reshape(samples, -1), dft @ anti.reshape(samples, -1)
+
+
+def _add_anticommutator(harmonics, anti):
+    """Add the superoperator of rho -> A rho + rho A, I (x) A + A^T (x) I in
+    column stacking, for every (n, n) harmonic A of ``anti`` to the
+    (size, n^2, n^2) ``harmonics``, in place.
+
+    Viewed as (size, n, n, n, n) with entry [x, i, k, j, l] at row i*n + k,
+    column j*n + l, I (x) A adds A[x, k, l] where i = j and A^T (x) I adds
+    A[x, j, i] where k = l: two strided views of those diagonals.
+    """
+    size, n, _ = anti.shape
+    store = harmonics.reshape(size, n, n, n, n)
+    sx, si, sk, sj, sl = store.strides
+    left = as_strided(store, (size, n, n, n), (sx, si + sj, sk, sl))
+    left += anti[:, None]
+    right = as_strided(store, (size, n, n, n), (sx, si, sj, sk + sl))
+    right += anti.transpose(0, 2, 1)[..., None]
 
 
 def _pair_blocks(lo, hi):
@@ -214,7 +271,9 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     (:func:`_sampled_harmonics`); no tuple pair is enumerated.  A filtered
     set screens candidate pairs in blocks, only within the window of
     rotation frequencies a kept pair can reach, and scatters each kept pair
-    into its harmonic.  Memory is bounded by the harmonic store either way.
+    into its harmonic.  Either way only harmonics m >= 0 are built (see
+    :class:`RateTermSet`), while the term counts cover every pair.  Memory
+    is bounded by the harmonic store.
     """
     if basis.dim < 1:
         raise ValueError("empty Floquet basis")
@@ -230,7 +289,7 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
 
     n = basis.dim
     nn = n * n
-    size = 4 * k_max + 1
+    size = 2 * k_max + 1
     omega = basis.omega
     sec_tol = _SECULAR_REL_TOL * omega
     complete = bool(np.isinf(secular_cutoff)) and coeff_floor == 0.0
@@ -284,9 +343,13 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
                 keep = (prod >= coeff_floor) & (secular | (np.abs(delta) / prod <= secular_cutoff))
             kept_static += int(np.count_nonzero(keep & secular))
             kept_osc += int(np.count_nonzero(keep & ~secular))
+            # Only harmonics m = k - k' >= 0 are stored; the swapped pair of
+            # an m > 0 pair is its mirror, and m = 0 pairs come in both orders.
             i, j, osc = order[i[keep]], order[j[keep]], ~secular[keep]
+            harm = ks[i] - ks[j]
+            half = harm >= 0
+            i, j, osc, harm = i[half], j[half], osc[half], harm[half]
             w = ch.rate * coeff[i] * coeff[j].conj()
-            harm = ks[i] - ks[j] + 2 * k_max
             flat = ((harm * n + a_idx[j]) * n + a_idx[i]) * nn + b_idx[j] * n + b_idx[i]
             sandwich += (np.bincount(flat, w.real, sandwich.size)
                          + 1j * np.bincount(flat, w.imag, sandwich.size))
@@ -296,19 +359,23 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
             anti += (np.bincount(flat, w[same].real, anti.size)
                      + 1j * np.bincount(flat, w[same].imag, anti.size))
 
-    # The anticommutator -(1/2){S^dag S, .} of every harmonic, column stacking.
-    anti = -0.5 * anti.reshape(size, n, n)
-    eye = np.eye(n)
+    # The anticommutator -(1/2){S^dag S, .} of every harmonic.
     harmonics = sandwich.reshape(size, nn, nn)
-    harmonics += np.einsum("ij,xkl->xikjl", eye, anti).reshape(size, nn, nn)
-    harmonics += np.einsum("xji,kl->xikjl", anti, eye).reshape(size, nn, nn)
+    _add_anticommutator(harmonics, -0.5 * anti.reshape(size, n, n))
 
-    freqs = _frequencies(omega, k_max, gaps).ravel()[oscillates]
-    reps = _cluster(freqs[np.abs(freqs) > sec_tol], omega)
+    # The oscillating frequencies are symmetric under the mirror, which
+    # negates them: cluster the positive ones, |f| at m > 0 and f at m = 0,
+    # and mirror the groups.
+    freqs = _frequencies(omega, k_max, gaps).reshape(size, -1)
+    oscillates = oscillates.reshape(size, -1)
+    positive = np.abs(freqs[1:][oscillates[1:]])
+    zeroth = freqs[0][oscillates[0]]
+    reps = _cluster(np.concatenate((positive[positive > sec_tol], zeroth[zeroth > sec_tol])),
+                    omega)
     return RateTermSet(
         dim=n, omega=omega, channels=channels, k_max=int(k_max),
         secular_cutoff=float(secular_cutoff), coeff_floor=float(coeff_floor),
-        gaps=gaps, deltas=reps, candidate_terms=candidates,
+        gaps=gaps, deltas=np.concatenate((-reps[::-1], reps)), candidate_terms=candidates,
         kept_static=kept_static, kept_oscillating=kept_osc,
         dropped_count=candidates - kept_static - kept_osc,
         fourier_tail=float(tail), harmonics=harmonics,
@@ -319,23 +386,32 @@ def _rate_matrix(rates):
     """Closure t -> R(t), the Floquet-picture rate superoperator.
 
     One exponential of the concatenated harmonic and gap frequencies gives
-    both the harmonic weights and the gap phases; a static set is constant.
+    both the harmonic weights, harmonic 0 weighted 1/2, and the gap phases.
+    The weighted sum of the stored harmonics m >= 0 plus its mirror (see
+    :class:`RateTermSet`) times the gap phases is R(t); the mirror can go
+    first because the phase of (p~, q~) is the conjugate of that of (p, q).
+    A stage at the previous stage's t reuses its R(t) (:func:`_repeat_memo`).
+    A static set is constant.
     """
     if not rates.deltas.size:
         static = rates.static_part
         return lambda t: static
     size = rates.harmonics.shape[0]
-    nn = rates.dim * rates.dim
+    n = rates.dim
+    nn = n * n
     harmonics = rates.harmonics.reshape(size, nn * nn)
-    ifreq = 1j * np.concatenate((np.arange(-2 * rates.k_max, 2 * rates.k_max + 1) * rates.omega,
-                                 -rates.gaps))
+    mirror = _mirror_index(n)
+    ifreq = 1j * np.concatenate((np.arange(size) * rates.omega, -rates.gaps))
 
     def at(t):
         e = np.exp(t * ifreq)
+        e[0] = 0.5
         d = e[size:]
-        return (e[:size] @ harmonics).reshape(nn, nn) * (d.conj()[:, None] * d)
+        r = _mirror(e[:size] @ harmonics, mirror).reshape(nn, nn)
+        r *= d.conj()[:, None] * d
+        return r
 
-    return at
+    return _repeat_memo(at)
 
 
 def assemble(rates, t):

@@ -4,7 +4,9 @@ The tuple-by-tuple oracles for the decomposed rate superoperator enumerate
 every index pair ``(alpha, beta, k), (alpha', beta', k')`` of one channel
 explicitly, so they are quadratic in the tuple count and meant for small
 systems.  They share only ``fourier_coefficients`` with the harmonic store
-that ``build_terms`` fills.  The Lindblad generator as an explicit
+that ``build_terms`` fills.  That store keeps harmonics m >= 0 only;
+:func:`full_harmonics` expands it to every m by the mirror identity on its
+own, without the package's evaluation of R(t).  The Lindblad generator as an explicit
 superoperator and full-span stepping check the direct solver, which
 propagates by the one-period map.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from flime import fourier_coefficients, integrate_adaptive, sandwich_superop
 from flime.lindblad import matrix_rhs
 from flime.qops import unfold
-from flime.solver import _SECULAR_REL_TOL, _frequencies
+from flime.solver import _SECULAR_REL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +107,52 @@ def dissipator_bruteforce(basis, channels, rho, t, k_max=20):
     return out
 
 
+def full_harmonics(rates):
+    """The full stack R~_m, m = -2 k_max ... 2 k_max, shape
+    (4 k_max + 1, n^2, n^2), and the frequency m*omega + gaps[p] - gaps[q]
+    of each entry, from the stored m >= 0 by R~_{-m}[p, q] = conj(R~_m[p~, q~])
+    with p~ the transposed supervector index."""
+    n = rates.dim
+    half = rates.harmonics.reshape(-1, n, n, n, n)
+    mirrored = half[:0:-1].transpose(0, 2, 1, 4, 3).conj()
+    full = np.concatenate((mirrored, half)).reshape(-1, n * n, n * n)
+    m = np.arange(-2 * rates.k_max, 2 * rates.k_max + 1) * rates.omega
+    freqs = m[:, None, None] + np.subtract.outer(rates.gaps, rates.gaps)[None]
+    return full, freqs
+
+
 def oscillating_terms(rates):
     """Yield ``(delta, superoperator)`` for each frequency group of a rate set:
     the oscillating harmonic-store entries whose frequency is nearest delta."""
-    freqs = _frequencies(rates.omega, rates.k_max, rates.gaps)
+    full, freqs = full_harmonics(rates)
     oscillating = np.abs(freqs) > _SECULAR_REL_TOL * rates.omega
     nearest = np.argmin(np.abs(freqs[..., None] - rates.deltas), axis=-1)
     for g, delta in enumerate(rates.deltas):
-        yield float(delta), np.sum(rates.harmonics, axis=0, where=oscillating & (nearest == g))
+        yield float(delta), np.sum(full, axis=0, where=oscillating & (nearest == g))
+
+
+def term_counts(basis, channel, k_max, secular_cutoff, coeff_floor):
+    """``(candidates, kept_static, kept_oscillating, deltas)`` of one channel
+    by the filtering rule, tuple pair by tuple pair: the floor, then
+    ``delta == 0`` kept, then the negligibility test.  ``deltas`` are the
+    kept oscillating frequencies, merged where neighbours differ by at most
+    1e-12 relative, each group by its mean."""
+    tol = _SECULAR_REL_TOL * basis.omega
+    candidates = static = 0
+    kept = []
+    for term in enumerate_terms(basis, channel, k_max, coeff_floor):
+        candidates += 1
+        if abs(term.delta) <= tol:
+            static += 1
+        elif term.negligibility <= secular_cutoff:
+            kept.append(term.delta)
+    groups = []
+    for delta in sorted(kept):
+        if groups and delta - groups[-1][-1] <= 1e-12 * max(abs(groups[-1][-1]), basis.omega):
+            groups[-1].append(delta)
+        else:
+            groups.append([delta])
+    return candidates, static, len(kept), np.array([np.mean(g) for g in groups])
 
 
 def factored_rhs(rates, basis):

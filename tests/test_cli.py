@@ -317,9 +317,17 @@ class TestOtherSystems:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import flime
+        # the child imports the flime under test, wherever pytest found it
+        src = str(Path(flime.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-m", "flime", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "evolve" in proc.stdout and "bench" in proc.stdout

@@ -259,6 +259,29 @@ class TestModeGrid:
         mode_grid(h, eps, modes0, n_samples=1024)
         assert len(calls) == 1 and calls[0].steps_accepted <= 10
 
+    def test_block_rhs_keeps_the_operator_not_the_product(self, rng, monkeypatch):
+        # the block RHS of the monodromy and of the grid keeps the last
+        # (s, H block); a call at a kept s with another block, at a new s and
+        # back again must each equal a fresh evaluation
+        h, _ = random_single_harmonic_system(rng, 3, with_channel=False)
+        rhs_seen = []
+
+        def capturing(rhs, *args, **kwargs):
+            rhs_seen.append(rhs)
+            return integrate_adaptive(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(floquet, "integrate_adaptive", capturing)
+        compute_basis(h, n_samples=64)
+        starts = np.arange(floquet._MONODROMY_SLICES) * (h.period / floquet._MONODROMY_SLICES)
+        blocks = [(lambda s: h(starts + s), starts.size, h.period / starts.size),
+                  (lambda s: h.on_grid(64, s), 64, h.period / 64)]
+        for rhs, (h_block, count, end) in zip(rhs_seen, blocks):
+            y1, y2 = rng.normal(size=(2, count, 9)) + 1j * rng.normal(size=(2, count, 9))
+            # the integration ended at s = end, so the first call finds it kept
+            for s, y in [(end, y1), (end, y2), (0.3 * end, y1), (end, y2)]:
+                fresh = -1j * (h_block(s) @ y.reshape(count, 3, 3))
+                assert np.max(np.abs(rhs(s, y) - fresh.reshape(count, 9))) <= 1e-12
+
     def test_rejects_non_power_of_two(self):
         h = _eq29_system()
         eps, modes0 = floquet_decompose(monodromy(h), h.omega)
@@ -305,6 +328,21 @@ class TestModeGrid:
 
 
 class TestFourierCoefficients:
+    @pytest.mark.parametrize("n, n_samples", [(2, 1024), (4, 64)])
+    def test_stacked_products_match_einsum(self, rng, n, n_samples):
+        # the grid's modes and matrix elements come from stacked products,
+        # entry by entry at n = 2 and matmul at n = 4
+        h, _ = random_single_harmonic_system(rng, n, with_channel=False)
+        basis = compute_basis(h, n_samples=n_samples)
+        phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
+        modes = np.einsum("tij,jb,tb->tib", basis.propagators, basis.modes0, phases)
+        assert np.max(np.abs(basis.mode_grid - modes)) <= 1e-13
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        elements = np.einsum("tia,ij,tjb->tab", modes.conj(), s, modes)
+        spectrum = np.fft.fft(elements, axis=0) / n_samples
+        expected = np.moveaxis(spectrum[np.arange(-5, 6) % n_samples], 0, -1)
+        assert np.max(np.abs(fourier_coefficients(basis, s, 5).coeffs - expected)) <= 1e-13
+
     def test_static_system_single_harmonic(self):
         # static system with energies inside the first Brillouin zone:
         # modes are constant, so only the k = 0 coefficients survive

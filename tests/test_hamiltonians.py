@@ -104,6 +104,19 @@ class TestPeriodicHamiltonian:
         term = HarmonicTerm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 0.5)
         with pytest.raises(ValueError, match="partner"):
             PeriodicHamiltonian(1.0, np.zeros((2, 2)), (term,))
+        # with several harmonics the error names the first offending one in
+        # term order: 3 has a wrong partner, -3 and 2 offend after it
+        up = np.array([[0.0, 1.0], [0.0, 0.0]])
+        terms = (HarmonicTerm(up, 1, 0.5), HarmonicTerm(up.T, -1, 0.5),
+                 HarmonicTerm(up, 3, 0.5), HarmonicTerm(up.T, -3, 0.4),
+                 HarmonicTerm(up, 2, 0.5))
+        with pytest.raises(ValueError, match="harmonic 3 lacks .* partner at -3"):
+            PeriodicHamiltonian(1.0, np.zeros((2, 2)), terms)
+        with pytest.raises(ValueError, match="harmonic 2 lacks .* partner at -2"):
+            PeriodicHamiltonian(1.0, np.zeros((2, 2)), terms[:2] + terms[4:])
+        # partners that agree within the tolerance pass
+        PeriodicHamiltonian(1.0, np.zeros((2, 2)), terms[:3] + (
+            HarmonicTerm(up.T, -3, 0.5 + 1e-14),))
 
     def test_non_hermitian_static_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

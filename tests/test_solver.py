@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flime.solver as solver_mod
-from flime import (CollapseChannel, LiouvillianSpec, OdeTol, assemble,
+from flime import (CollapseChannel, FloquetBasis, LiouvillianSpec, OdeTol, assemble,
                    build_driven_2ls_full, build_driven_2ls_rwa, build_terms,
                    compute_basis, evolve,
                    evolve_direct, fold, pure_state_density, sigma_minus,
@@ -12,7 +12,7 @@ from flime import (CollapseChannel, LiouvillianSpec, OdeTol, assemble,
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states, shift_gauge)
 from oracles import (dissipator_bruteforce, enumerate_terms, factored_rhs,
-                     oscillating_terms)
+                     full_harmonics, oscillating_terms, term_counts)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,84 @@ class TestBuildTerms:
         assert tails[0] > 1e-5 and tails[-1] < 1e-11
         res = evolve(built[0], basis, pure_state_density([1.0, 0.0]), [0.0, h.period])
         assert res.diagnostics.fourier_tail == tails[0]
+
+
+def _longitudinal_basis(omega, amplitude, n_samples=64):
+    """Exact Floquet basis of H(t) = diag(-omega/4, omega/4)
+    + amplitude cos(omega t) diag(1, -1): quasienergies -omega/4 and omega/4,
+    which give gaps of exactly -+omega/2, and the diagonal modes
+    exp(-+1j (amplitude/omega) sin(omega t)).  Amplitude 0 is the undriven 2LS."""
+    period = 2.0 * np.pi / omega
+    times = np.arange(n_samples) * (period / n_samples)
+    phase = np.exp(-1j * amplitude / omega * np.sin(omega * times))
+    modes = np.zeros((n_samples, 2, 2), dtype=complex)
+    modes[:, 0, 0], modes[:, 1, 1] = phase, phase.conj()
+    props = modes * np.exp(0.25j * omega * times)[:, None, None] ** np.array([1, -1])
+    return FloquetBasis(omega=omega, quasienergies=np.array([-0.25, 0.25]) * omega,
+                        modes0=np.eye(2, dtype=complex), grid_times=times, mode_grid=modes,
+                        propagators=props, grid_monodromy=np.diag([1j, -1j]))
+
+
+class TestHalfStore:
+    @pytest.mark.parametrize("amplitude", [0.0, 0.8])
+    def test_static_entries_at_first_harmonics(self, amplitude):
+        # splitting omega/2: the entries ((0, 1), (1, 0)) of harmonic 1 and
+        # their mirrors at -1 are secular; with the longitudinal drive they
+        # carry weight, so static_part needs the mirror of m > 0 entries
+        omega, k_max = 2.0, 4
+        basis = _longitudinal_basis(omega, amplitude * omega)
+        channel = CollapseChannel(np.array([[0.3, 1.0], [0.5j, -0.2]]), 0.2)
+        rates = build_terms(basis, [channel], k_max=k_max, secular_cutoff=np.inf,
+                            coeff_floor=0.0)
+        assert rates.harmonics.shape == (2 * k_max + 1, 4, 4)
+        full, freqs = full_harmonics(rates)
+        secular = np.abs(freqs) <= 1e-12 * omega
+        for m in (-1, 1):
+            assert secular[2 * k_max + m].any()
+            if amplitude:
+                assert np.max(np.abs(full[2 * k_max + m][secular[2 * k_max + m]])) > 1e-2
+
+        terms = list(enumerate_terms(basis, channel, k_max))
+        expected = sum(term.weight * term.superop(2) for term in terms if term.delta == 0.0)
+        assert np.max(np.abs(rates.static_part - expected)) < 1e-12
+        *counts, deltas = term_counts(basis, channel, k_max, np.inf, 0.0)
+        assert counts == [rates.candidate_terms, rates.kept_static, rates.kept_oscillating]
+        assert np.allclose(rates.deltas, deltas, rtol=1e-13, atol=0.0)
+        for t in [0.0, 0.37, 2.9]:
+            from_terms = sum(term.weight * np.exp(1j * term.delta * t) * term.superop(2)
+                             for term in terms)
+            assert np.max(np.abs(assemble(rates, t) - from_terms)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff, floor", [(np.inf, 0.0), (5.0, 1e-12), (30.0, 1e-12),
+                                               (np.inf, 1e-3)])
+    def test_counts_and_deltas_match_tuple_oracle(self, cutoff, floor):
+        # every count covers both orders of each pair, and the mirrored
+        # frequency groups are those of all kept oscillating pairs
+        h, channel = random_single_harmonic_system(np.random.default_rng(11), 3)
+        basis = compute_basis(h)
+        k_max = 3
+        rates = build_terms(basis, [channel], k_max=k_max, secular_cutoff=cutoff,
+                            coeff_floor=floor)
+        assert rates.harmonics.shape == (2 * k_max + 1, 9, 9)
+        candidates, static, oscillating, deltas = term_counts(basis, channel, k_max,
+                                                              cutoff, floor)
+        assert (rates.candidate_terms, rates.kept_static, rates.kept_oscillating,
+                rates.dropped_count) == (candidates, static, oscillating,
+                                         candidates - static - oscillating)
+        assert rates.deltas.shape == deltas.shape and deltas.size > 0
+        assert np.allclose(rates.deltas, deltas, rtol=1e-13, atol=0.0)
+
+    def test_rate_rhs_keeps_the_operator_not_the_product(self, rwa_setup):
+        # the rate RHS keeps the last (t, R(t)); a call at a kept t with
+        # another block, at a new t and back again must each equal a fresh
+        # evaluation
+        _, basis, channel = rwa_setup
+        rates = build_terms(basis, [channel], k_max=4, secular_cutoff=np.inf, coeff_floor=0.0)
+        rhs = solver_mod._make_rhs(rates, basis)
+        rng = np.random.default_rng(3)
+        v1, v2 = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        for t, v in [(0.37, v1), (0.37, v2), (1.1, v1), (0.37, v2)]:
+            assert np.array_equal(rhs(t, v.ravel()), (assemble(rates, t) @ v).ravel())
 
 
 class TestAssemble:
