@@ -212,6 +212,8 @@ def _prefix_products(stack):
     Python-level products instead of M.
     """
     n_factors, n, _ = stack.shape
+    if n_factors < 2:
+        return
     m = max(d for d in range(1, isqrt(n_factors) + 1) if n_factors % d == 0)
     blocks = stack.reshape(n_factors // m, m, n, n)
     for i in range(1, m):
@@ -223,27 +225,40 @@ def _prefix_products(stack):
     blocks[1:] = _stacked_product(blocks[1:], carries[:, None])
 
 
-def _sub_propagators(h_block, n, n_sub, period, tol):
-    """Propagators V_j = U(t_j + T/n_sub, t_j) at t_j = j T / n_sub,
-    j < n_sub, shape (n_sub, n, n).
+def _sub_propagators(block_at, n, starts, lengths, tol, factor=1.0):
+    """Propagators V_j = U(a_j + L_j, a_j) of dU/dt = factor A(t) U over
+    the slices [a_j, a_j + L_j], a_j = ``starts[j]`` and L_j = ``lengths[j]``,
+    shape (S, n, n), with the integrator statistics.
 
-    The sub-intervals [t_j, t_j + T/n_sub] are integrated side by side as one
-    (n_sub, n*n) block from s = 0 to T/n_sub, whose step error is the worst
-    sub-interval's; ``h_block(s)`` gives H(t_j + s) for all j, shape
-    (n_sub, n, n), and the RHS product H(t_j + s) U_j goes entry by entry
-    for n <= 3 and long blocks (:func:`_stacked_product`).  A stage at the
-    previous stage's s reuses its H block (:func:`_repeat_memo`).
+    The slices are integrated side by side as one (S, n*n) block, whose
+    step error is the worst slice's, in a rescaled time s in [0, L_max],
+    L_max the longest slice: dU_j/ds = r_j factor A(a_j + r_j s) U_j with
+    r_j = L_j / L_max.  Equal slices have r_j = 1 and step in t itself, and
+    a step of at most L_max in s is at most L_j in t.  ``block_at(ts)``
+    gives A at the S times ``a_j + r_j s``, shape (S, n, n), and the RHS
+    product A U_j goes entry by entry for n <= 3 and long blocks
+    (:func:`_stacked_product`).  A stage at the previous stage's s reuses
+    its A block (:func:`_repeat_memo`).
     """
-    h_block = _repeat_memo(h_block)
+    count = starts.size
+    span = lengths.max()
+    if np.all(lengths == span):
+        # scalars: a per-slice array costs the basis build's long blocks
+        # a few percent on every RHS call
+        ratio, coef = 1.0, factor
+    else:
+        ratio = lengths / span
+        coef = (factor * ratio)[:, None, None]
+    block = _repeat_memo(lambda s: block_at(starts + ratio * s))
 
     def rhs(s, y):
-        out = _stacked_product(h_block(s), y.reshape(n_sub, n, n))
-        out *= -1j
-        return out.reshape(n_sub, n * n)
+        out = _stacked_product(block(s), y.reshape(count, n, n))
+        out *= coef
+        return out.reshape(count, n * n)
 
-    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (n_sub, 1))
-    out, _ = integrate_adaptive(rhs, 0.0, y0, [period / n_sub], rtol=tol.rtol, atol=tol.atol)
-    return out[0].reshape(n_sub, n, n)
+    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (count, 1))
+    out, stats = integrate_adaptive(rhs, 0.0, y0, [span], rtol=tol.rtol, atol=tol.atol)
+    return out[0].reshape(count, n, n), stats
 
 
 def monodromy(hamiltonian, tol=BASIS_TOL):
@@ -259,11 +274,12 @@ def monodromy(hamiltonian, tol=BASIS_TOL):
     considered failed.
     """
     n = hamiltonian.dim
-    period = hamiltonian.period
-    starts = np.arange(_MONODROMY_SLICES) * (period / _MONODROMY_SLICES)
+    width = hamiltonian.period / _MONODROMY_SLICES
+    starts = np.arange(_MONODROMY_SLICES) * width
+    factors, _ = _sub_propagators(hamiltonian, n, starts, np.full(_MONODROMY_SLICES, width),
+                                  tol, factor=-1j)
     u = np.eye(n, dtype=complex)
-    for v in _sub_propagators(lambda s: hamiltonian(starts + s), n, _MONODROMY_SLICES,
-                              period, tol):
+    for v in factors:
         u = v @ u
     defect = unitarity_defect(u)
     if defect > _REUNITARIZE_TOL:
@@ -343,9 +359,12 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
         raise ValueError("n_samples must be a power of two (and at least 2)")
     n = hamiltonian.dim
     period = hamiltonian.period
-    times = np.arange(n_samples) * (period / n_samples)
-    factors = _sub_propagators(lambda s: hamiltonian.on_grid(n_samples, s), n, n_samples,
-                               period, tol)
+    width = period / n_samples
+    times = np.arange(n_samples) * width
+    # The slices are equal and the first starts at 0, so ts[0] is the offset
+    # s of every slice.
+    factors, _ = _sub_propagators(lambda ts: hamiltonian.on_grid(n_samples, ts[0]), n, times,
+                                  np.full(n_samples, width), tol, factor=-1j)
     running = np.empty((n_samples + 1, n, n), dtype=complex)
     running[0] = np.eye(n)
     running[1:] = factors

@@ -68,6 +68,12 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # Difference between the 5th and embedded 4th order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Complex copies of the rows, so a stage sum's product casts nothing; it is
+# then scaled by h and added to the state in place, with the same rounding
+# as y + h * (row @ k) and no further temporaries.
+_A_C = [row.astype(complex) for row in _A]
+_B5_C = _B5.astype(complex)
+_E_C = _E.astype(complex)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -84,6 +90,14 @@ def _error_norm(err, y0, y1, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     with np.errstate(invalid="ignore"):
         return float(_rms(err / scale))
+
+
+def _stage_sum(row, stages, h, y):
+    """``y + h * (row @ stages)``, with one temporary."""
+    out = (row @ stages).reshape(y.shape)
+    out *= h
+    out += y
+    return out
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
@@ -188,11 +202,11 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
 
         K[0] = f
         for s in range(1, 7):
-            ys = y + h * (_A[s] @ flat_k[:s]).reshape(y.shape)
-            K[s] = rhs(t + _C[s] * h, ys)
+            K[s] = rhs(t + _C[s] * h, _stage_sum(_A_C[s], flat_k[:s], h, y))
         stats.rhs_evals += 6
-        y_new = y + h * (_B5 @ flat_k).reshape(y.shape)
-        err = h * (_E @ flat_k).reshape(y.shape)
+        y_new = _stage_sum(_B5_C, flat_k, h, y)
+        err = (_E_C @ flat_k).reshape(y.shape)
+        err *= h
         norm = _error_norm(err, y, y_new, rtol, atol)
 
         if norm <= 1.0:

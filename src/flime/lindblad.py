@@ -9,7 +9,9 @@ Phi(j*T + tau) = Phi(tau) Phi(T)^j, as the rate matrix's does in its
 rotated frame.  Both generators run through the same one-period map
 (``solver._propagate``) with the same adaptive integrator: one period is
 integrated and whole periods are jumped, so timing comparisons between the
-two solvers measure the formulation, not the period jump.
+two solvers measure the formulation, not the period jump.  Like the rate
+matrix, the generator is formed as an n^2 x n^2 superoperator at an array of
+times, so small systems step slices of the period side by side.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ import numpy as np
 # perfbench's tracer wraps lindblad.integrate_adaptive.
 from .integrate import integrate_adaptive  # noqa: F401
 from .qops import unfold
-from .solver import _evolve, _Generator
+from .solver import _add_sides, _evolve, _Generator
 
-__all__ = ["LiouvillianSpec", "matrix_rhs", "evolve_direct"]
+__all__ = ["LiouvillianSpec", "evolve_direct"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,33 +47,41 @@ class LiouvillianSpec:
         return self.hamiltonian.dim
 
 
-def matrix_rhs(spec):
-    """Right-hand side v -> unfold(-1j[H(t), rho] + dissipator) in matrix form.
+def _liouvillian(spec):
+    """Closure t -> L(t), the lab-frame Lindbladian as an n^2 x n^2
+    superoperator in column stacking, shape (n^2, n^2) for a scalar t and
+    (*t.shape, n^2, n^2) for an array of times.
 
-    ``v`` is a flattened ``(n^2, B)`` block of supervectors (B = 1 for a
-    single one), and every column is advanced by the same matrix products.
+    The dissipator is constant and formed once; each call adds the
+    commutator -1j [H(t), .] of one ``hamiltonian(t)`` call, which takes
+    arrays, to a copy of it (``solver._add_sides``).
     """
     n = spec.dim
+    nn = n * n
     hamiltonian = spec.hamiltonian
-    ops = [(ch.rate, ch.operator, ch.operator.conj().T, ch.operator.conj().T @ ch.operator)
-           for ch in spec.channels if ch.rate > 0.0]
+    dissipator = np.zeros((nn, nn), dtype=complex)
+    for ch in spec.channels:
+        s = ch.operator
+        sds = -0.5 * ch.rate * (s.conj().T @ s)
+        dissipator += ch.rate * np.kron(s.conj(), s)
+        _add_sides(dissipator, sds[None], sds[None])
 
-    def rhs(t, v):
-        rho = v.reshape(n, n, -1).T
+    def at(t):
         h = hamiltonian(t)
-        drho = -1j * (h @ rho - rho @ h)
-        for rate, s, sd, sds in ops:
-            drho += rate * (s @ rho @ sd - 0.5 * (sds @ rho + rho @ sds))
-        return drho.T.ravel()
+        out = np.empty(h.shape[:-2] + (nn, nn), dtype=complex)
+        out[...] = dissipator
+        h = h.reshape(-1, n, n)
+        _add_sides(out, -1j * h, 1j * h)
+        return out
 
-    return rhs
+    return at
 
 
 def _lab_generator(spec):
     """The lab-frame Lindbladian as a T-periodic generator: its frame needs
     no rotation and its supervectors are the lab-frame states."""
     n = spec.dim
-    return _Generator(rhs=matrix_rhs(spec), dim=n, gaps=np.zeros(n * n),
+    return _Generator(matrix=_liouvillian(spec), dim=n, gaps=np.zeros(n * n),
                       period=spec.hamiltonian.period, max_step=np.inf, start=unfold,
                       to_lab=lambda phases, index, rho: rho.transpose(0, 2, 1, 3))
 

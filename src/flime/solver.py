@@ -27,21 +27,27 @@ by the basis: the generator is the pure dissipator, and lab-frame states are
 reconstructed as ``W(t) rho W(t)^dag`` with ``W(t)`` the Floquet state
 matrix.  This makes the closed-system limit exact by construction.  Rotated
 by the quasienergy phases, the generator is exactly T-periodic, so long
-evolutions integrate one period and then jump whole periods.  The integrator
-lands exactly on each of its stops; when the outputs have more distinct
-phases than a Chebyshev grid needs, it stops at the grid's nodes only and the
-phases are interpolated from those exact samples, with the Chebyshev tail
-checked against the tolerance.  The direct solver (``lindblad``) runs its
-lab-frame generator through the same one-period map (:class:`_Generator`).
+evolutions form the propagators of one period and then jump whole periods,
+by baby-step giant-step powers of the one-period map.  The propagators land
+exactly on each stop; when the outputs have more distinct phases than a
+Chebyshev grid needs, the stops are the grid's nodes only and the phases are
+interpolated from those exact samples, with the Chebyshev tail checked
+against the tolerance.  For n <= 3 the period is cut at the stops into
+slices that are stepped side by side as one block, so a step costs a few
+large NumPy calls; larger n step the period sequentially.  The direct solver
+(``lindblad``) runs its lab-frame generator through the same one-period map
+(:class:`_Generator`).
 """
 
 import time as _time
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .floquet import fourier_coefficients
+from .floquet import (_SMALL_N, _prefix_products, _stacked_product, _sub_propagators,
+                      fourier_coefficients)
 from .integrate import IntegratorStats, OdeTol, integrate_adaptive, _repeat_memo
 from .qops import check_density_matrix, hermiticity_defect, unfold
 
@@ -162,9 +168,10 @@ def _mirror_index(n):
 
 
 def _mirror(half, index):
-    """``half + conj(half[p~, q~])`` of a flattened superoperator, with
-    ``index`` from :func:`_mirror_index` (see :class:`RateTermSet`)."""
-    out = half.take(index)
+    """``half + conj(half[p~, q~])`` of flattened superoperators (last
+    axis), with ``index`` from :func:`_mirror_index` (see
+    :class:`RateTermSet`)."""
+    out = half.take(index, axis=-1)
     np.conjugate(out, out=out)
     out += half
     return out
@@ -220,22 +227,23 @@ def _sampled_harmonics(rate, coeffs):
     return dft @ sandwich.reshape(samples, -1), dft @ anti.reshape(samples, -1)
 
 
-def _add_anticommutator(harmonics, anti):
-    """Add the superoperator of rho -> A rho + rho A, I (x) A + A^T (x) I in
-    column stacking, for every (n, n) harmonic A of ``anti`` to the
-    (size, n^2, n^2) ``harmonics``, in place.
+def _add_sides(store, left, right):
+    """Add the superoperator of rho -> A rho + rho B, I (x) A + B^T (x) I in
+    column stacking, for every pair of (n, n) matrices A of ``left`` and B
+    of ``right`` (stacks of equal length) to the C-contiguous
+    (size, n^2, n^2) ``store``, in place.
 
     Viewed as (size, n, n, n, n) with entry [x, i, k, j, l] at row i*n + k,
-    column j*n + l, I (x) A adds A[x, k, l] where i = j and A^T (x) I adds
-    A[x, j, i] where k = l: two strided views of those diagonals.
+    column j*n + l, I (x) A adds A[x, k, l] where i = j and B^T (x) I adds
+    B[x, j, i] where k = l: two strided views of those diagonals.
     """
-    size, n, _ = anti.shape
-    store = harmonics.reshape(size, n, n, n, n)
+    size, n, _ = left.shape
+    store = store.reshape(size, n, n, n, n)
     sx, si, sk, sj, sl = store.strides
-    left = as_strided(store, (size, n, n, n), (sx, si + sj, sk, sl))
-    left += anti[:, None]
-    right = as_strided(store, (size, n, n, n), (sx, si, sj, sk + sl))
-    right += anti.transpose(0, 2, 1)[..., None]
+    diag_left = as_strided(store, (size, n, n, n), (sx, si + sj, sk, sl))
+    diag_left += left[:, None]
+    diag_right = as_strided(store, (size, n, n, n), (sx, si, sj, sk + sl))
+    diag_right += right.transpose(0, 2, 1)[..., None]
 
 
 def _pair_blocks(lo, hi):
@@ -361,7 +369,8 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
 
     # The anticommutator -(1/2){S^dag S, .} of every harmonic.
     harmonics = sandwich.reshape(size, nn, nn)
-    _add_anticommutator(harmonics, -0.5 * anti.reshape(size, n, n))
+    anti = -0.5 * anti.reshape(size, n, n)
+    _add_sides(harmonics, anti, anti)
 
     # The oscillating frequencies are symmetric under the mirror, which
     # negates them: cluster the positive ones, |f| at m > 0 and f at m = 0,
@@ -383,35 +392,35 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
 
 
 def _rate_matrix(rates):
-    """Closure t -> R(t), the Floquet-picture rate superoperator.
+    """Closure t -> R(t), the Floquet-picture rate superoperator, shape
+    (n^2, n^2) for a scalar t and (*t.shape, n^2, n^2) for an array.
 
     One exponential of the concatenated harmonic and gap frequencies gives
     both the harmonic weights, harmonic 0 weighted 1/2, and the gap phases.
     The weighted sum of the stored harmonics m >= 0 plus its mirror (see
     :class:`RateTermSet`) times the gap phases is R(t); the mirror can go
     first because the phase of (p~, q~) is the conjugate of that of (p, q).
-    A stage at the previous stage's t reuses its R(t) (:func:`_repeat_memo`).
-    A static set is constant.
+    An array of times costs the same few NumPy calls as one time.  A static
+    set is constant.
     """
+    nn = rates.dim * rates.dim
     if not rates.deltas.size:
         static = rates.static_part
-        return lambda t: static
+        return lambda t: np.broadcast_to(static, np.shape(t) + (nn, nn))
     size = rates.harmonics.shape[0]
-    n = rates.dim
-    nn = n * n
     harmonics = rates.harmonics.reshape(size, nn * nn)
-    mirror = _mirror_index(n)
+    mirror = _mirror_index(rates.dim)
     ifreq = 1j * np.concatenate((np.arange(size) * rates.omega, -rates.gaps))
 
     def at(t):
-        e = np.exp(t * ifreq)
-        e[0] = 0.5
-        d = e[size:]
-        r = _mirror(e[:size] @ harmonics, mirror).reshape(nn, nn)
-        r *= d.conj()[:, None] * d
+        e = np.exp(np.multiply.outer(t, ifreq))
+        e[..., 0] = 0.5
+        d = e[..., size:]
+        r = _mirror(e[..., :size] @ harmonics, mirror).reshape(e.shape[:-1] + (nn, nn))
+        r *= d.conj()[..., :, None] * d[..., None, :]
         return r
 
-    return _repeat_memo(at)
+    return at
 
 
 def assemble(rates, t):
@@ -419,27 +428,13 @@ def assemble(rates, t):
     return _rate_matrix(rates)(t)
 
 
-def _make_rhs(rates, basis):
-    """Right-hand side closure for dv/dt = R(t) v.
-
-    ``v`` is a flattened ``(n^2, B)`` block, so one call advances B
-    supervectors at once.
-    """
-    rate_at = _rate_matrix(rates)
-    nn = rates.dim * rates.dim
-
-    def rhs(t, v):
-        return (rate_at(t) @ v.reshape(nn, -1)).ravel()
-
-    return rhs
-
-
 @dataclass(frozen=True, eq=False)
 class _Generator:
-    """A T-periodic linear generator dv/dt = rhs(t, v), as the one-period
-    map of :func:`_propagate` needs it.
+    """A T-periodic linear generator dv/dt = A(t) v, as the one-period map
+    of :func:`_propagate` needs it.
 
-    ``rhs`` acts on a flattened ``(dim^2, B)`` block of supervectors.  The
+    ``matrix(t)`` is A(t), shape (dim^2, dim^2) for a scalar t and
+    (*t.shape, dim^2, dim^2) for an array of times.  The
     propagator is T-periodic in the frame rotated by ``gaps``:
     v~[p] = exp(-1j*gaps[p]*t) v[p]; zero gaps leave the frame as it is.
     ``start`` maps a lab-frame density matrix at t = 0, where both frames
@@ -450,7 +445,7 @@ class _Generator:
     the tolerance sets none.
     """
 
-    rhs: object
+    matrix: object
     dim: int
     gaps: np.ndarray
     period: float
@@ -465,16 +460,18 @@ def _rate_generator(rates, basis):
     Rotated by the quasienergy gaps, every kept tuple oscillates at
     (k - k') * omega only, so the frame's propagator is T-periodic.  A
     rotated-frame state rho~ is M(tau) rho~ M(tau)^dag in the lab frame,
-    with M the Floquet mode matrix at the phase tau.
+    with M the Floquet mode matrix at the phase tau: two stacked products
+    over all states, entry by entry for n <= 3.
     """
     modes0 = basis.modes0
 
     def to_lab(phases, index, rho):
-        modes = basis.modes_at_many(phases)[index]
-        return np.einsum("tai,tmic,tdm->tadc", modes, rho, modes.conj(), optimize=True)
+        modes = basis.modes_at_many(phases)[index][:, None]
+        inner = _stacked_product(rho.transpose(0, 3, 2, 1), modes.conj().swapaxes(-1, -2))
+        return _stacked_product(np.broadcast_to(modes, inner.shape), inner).transpose(0, 2, 3, 1)
 
     return _Generator(
-        rhs=_make_rhs(rates, basis), dim=basis.dim, gaps=rates.gaps, period=basis.period,
+        matrix=_rate_matrix(rates), dim=basis.dim, gaps=rates.gaps, period=basis.period,
         # A cap of one eighth of a period when oscillating terms exist, so no
         # frequency group is stepped over entirely.
         max_step=basis.period / 8.0 if rates.deltas.size else np.inf,
@@ -539,25 +536,91 @@ def _barycentric(nodes, x):
     return terms / terms.sum(axis=1, keepdims=True)
 
 
-def _integrate_stops(rhs, y0, stops, tol, max_step):
-    """Solution of dv/dt = rhs(t, v), v(0) = y0 (1-D), at the increasing ``stops``.
+def _make_rhs(gen):
+    """Right-hand side dv/dt = A(t) v of ``gen`` on a flattened
+    ``(dim^2, B)`` block, so one call advances B supervectors at once.  A
+    stage at the previous stage's t reuses its A(t) (:func:`_repeat_memo`).
+    """
+    matrix = _repeat_memo(gen.matrix)
+    nn = gen.dim * gen.dim
+
+    def rhs(t, v):
+        return (matrix(t) @ v.reshape(nn, -1)).ravel()
+
+    return rhs
+
+
+def _slice_maps(gen, stops, tol, cap):
+    """Propagators Phi(stop, 0) of ``gen`` at the increasing ``stops``
+    (nonnegative), shape (len(stops), n^2, n^2), from slices stepped side
+    by side.
+
+    [0, stops[-1]] is cut at every stop, and each interval longer than
+    ``cap`` into the fewest equal parts no longer than it.  The S slice
+    propagators are one block integration (:func:`floquet._sub_propagators`)
+    and their running products (:func:`floquet._prefix_products`, padded
+    with identities to a multiple of about sqrt(S) factors) give the maps at
+    the stops.  Returns ``(maps, stats, S)``.
+    """
+    nn = gen.dim * gen.dim
+    eye = np.eye(nn, dtype=complex)
+    if stops[-1] == 0.0:
+        return eye[None], IntegratorStats(), 0
+    bounds = np.concatenate(([0.0], stops[stops > 0.0]))
+    widths = np.diff(bounds)
+    # the factor keeps a width of exactly k caps, up to rounding, at k parts
+    parts = np.ceil(widths / cap * (1.0 - 1e-12)).astype(int)
+    count = int(parts.sum())
+    ends = np.cumsum(parts)
+    lengths = np.repeat(widths / parts, parts)
+    offsets = np.arange(count) - np.repeat(ends - parts, parts)
+    starts = np.repeat(bounds[:-1], parts) + offsets * lengths
+    factors, stats = _sub_propagators(gen.matrix, nn, starts, lengths, tol)
+    side = isqrt(count - 1) + 1
+    running = np.empty((side * -(-count // side) + 1, nn, nn), dtype=complex)
+    running[0] = eye
+    running[1:count + 1] = factors
+    running[count + 1:] = eye
+    _prefix_products(running[1:])
+    return running[np.append(np.zeros(stops.size - ends.size, dtype=int), ends)], stats, count
+
+
+def _integrate_stops(gen, y0, stops, tol):
+    """Solution of dv/dt = A(t) v, v(0) = y0 an (n^2, B) block, at the
+    increasing ``stops``, flattened to shape (len(stops), n^2 B).
+
+    For n <= ``floquet._SMALL_N`` the propagators at the stops come from
+    slices stepped side by side (:func:`_slice_maps`), no slice longer than
+    T/16 or the step cap; Python overhead, not flops, bounds these small
+    systems.  Larger n step the block sequentially from stop to stop.  The
+    step cap is the tolerance's ``max_step`` or else the generator's own.
 
     v(t) is analytic on [0, stops[-1]], because both generators, R(t) and
     the lab Lindbladian, are finite sums of exponentials.  With more stops
-    than ``_CHEB_NODES`` the integrator stops only at N Chebyshev-Lobatto
-    nodes of that span, and the stops are interpolated from those exact
-    samples.  N is accepted when the largest Chebyshev coefficient in the
-    last quarter is at most ``rtol * max|c| + atol``, else doubled as
-    2N - 1; once N reaches the number of stops the integrator stops at each
-    of them.  Returns
-    ``(values, stats, nodes, tail)``: stats summed over every attempt, the
-    accepted N (0 for exact stops) and its tail relative to max|c|.
+    than ``_CHEB_NODES`` only N Chebyshev-Lobatto nodes of that span are
+    stops, and the stops are interpolated from those exact samples.  N is
+    accepted when the largest Chebyshev coefficient in the last quarter is
+    at most ``rtol * max|c| + atol``, else doubled as 2N - 1; once N reaches
+    the number of stops each of them is a stop.  Returns
+    ``(values, stats, nodes, tail, slices)``: stats summed over every
+    attempt, the accepted N (0 for exact stops), its tail relative to
+    max|c|, and the slice count S of the accepted attempt (0 when
+    sequential).
     """
     total = IntegratorStats()
+    max_step = tol.max_step * gen.period if tol.max_step is not None else gen.max_step
+    sliced = gen.dim <= _SMALL_N
+    rhs = None if sliced else _make_rhs(gen)
+    slices = 0
 
     def run(t_out):
-        out, stats = integrate_adaptive(rhs, 0.0, y0, t_out, rtol=tol.rtol, atol=tol.atol,
-                                        max_step=max_step)
+        nonlocal slices
+        if sliced:
+            maps, stats, slices = _slice_maps(gen, t_out, tol, min(gen.period / 16.0, max_step))
+            out = (maps @ y0).reshape(t_out.size, -1)
+        else:
+            out, stats = integrate_adaptive(rhs, 0.0, y0.ravel(), t_out, rtol=tol.rtol,
+                                            atol=tol.atol, max_step=max_step)
         total.steps_accepted += stats.steps_accepted
         total.steps_rejected += stats.steps_rejected
         total.rhs_evals += stats.rhs_evals
@@ -570,29 +633,68 @@ def _integrate_stops(rhs, y0, stops, tol, max_step):
         tail, scale = _chebyshev_tail(samples)
         if tail <= tol.rtol * scale + tol.atol:
             values = _barycentric(nodes, stops) @ samples
-            return values, total, count, tail / scale if scale else 0.0
+            return values, total, count, tail / scale if scale else 0.0, slices
         count = 2 * count - 1
-    return run(stops), total, 0, 0.0
+    return run(stops), total, 0, 0.0, slices
+
+
+def _period_powers(pmap, block, periods):
+    """``pmap**j @ block`` for each of the increasing ``periods`` j, shape
+    (len(periods), *block.shape).
+
+    Baby-step giant-step (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)): with m = ceil(sqrt(J + 1)), J the last period, the giant steps
+    W_q = (P^m)^q block are J/m products, and every period j = q m + r with
+    the same r is one stacked product P^r W_q.  The baby powers P^r are
+    formed one at a time, twice: once up to P^m and once while they are
+    applied, so about 4 sqrt(J) products replace J and no stack of powers is
+    held.  P^m is a chain of products, not repeated squaring, whose
+    rounding errors add coherently: at 10^5 periods of an n = 3 Lindbladian
+    the chain is about 15 times closer to the exact powers than the
+    sequential loop, and squaring no closer than that loop.
+    """
+    m = isqrt(int(periods[-1])) + 1
+    q, r = np.divmod(periods, m)
+    giants = np.empty((q[-1] + 1,) + block.shape, dtype=complex)
+    giants[0] = block
+    if q[-1]:
+        giant = pmap
+        for _ in range(m - 1):
+            giant = pmap @ giant
+        for i in range(1, giants.shape[0]):
+            giants[i] = giant @ giants[i - 1]
+    out = np.empty((periods.size,) + block.shape, dtype=complex)
+    baby = pmap
+    for rem, sel in enumerate(_groups(r)):
+        if rem > 1:
+            baby = pmap @ baby
+        if sel.size:
+            out[sel] = giants[q[sel]] if rem == 0 else baby @ giants[q[sel]]
+    return out
 
 
 def _propagate(gen, block, times, tol):
     """Propagate a block of supervectors by the one-period map of ``gen``.
 
     In the frame rotated by ``gen.gaps`` the propagator is T-periodic:
-    Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j (see :class:`_Generator`).  One
-    period of the n^2 x n^2 identity is integrated to every distinct phase
-    tau and to T; later periods follow by powers of P = Phi~(T).  When every
-    time lies in the first period the block itself is integrated instead, up
-    to the largest phase.  Many phases are Chebyshev-interpolated from exact
-    samples at a few nodes (see :func:`_integrate_stops`); T is a node, so P
-    is always the integrated matrix.
+    Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j (see :class:`_Generator`).  The
+    propagators of one period are formed at every distinct phase tau and at
+    T (:func:`_integrate_stops`): from slices stepped side by side for
+    n <= 3, by stepping the n^2 x n^2 identity otherwise.  Later periods
+    follow by powers of P = Phi~(T), by baby-step giant-step
+    (:func:`_period_powers`).  When every time lies in the first period only
+    the span up to the largest phase is needed, and the block itself is
+    stepped on the sequential side.  Many phases are Chebyshev-interpolated
+    from exact samples at a few nodes; T is a node, so P is always the
+    integrated matrix.
 
     ``block`` has shape (n^2, B) and holds supervectors at t = 0, where both
-    frames agree.  Returns ``(lab, images, stats, (nodes, tail))``: the
-    lab-frame matrices of each column, shape (len(times), n, n, B), the
+    frames agree.  Returns ``(lab, images, stats, (nodes, tail, slices))``:
+    the lab-frame matrices of each column, shape (len(times), n, n, B), the
     rotated-frame supervectors, shape (len(times), n^2, B), the integrator
-    statistics of the one-period integration, and the Chebyshev node count
-    (0 for exact stops) and relative tail.
+    statistics of the one-period integration, the Chebyshev node count (0
+    for exact stops) and relative tail, and the slice count (0 on the
+    sequential side).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0.0):
@@ -604,20 +706,12 @@ def _propagate(gen, block, times, tol):
     jumps = periods.max() > 0
     y0 = np.eye(nn, dtype=complex) if jumps else block
     t_out = np.append(phases, period) if jumps else phases
-    max_step = tol.max_step * period if tol.max_step is not None else gen.max_step
-    flat, stats, nodes, tail = _integrate_stops(gen.rhs, y0.ravel(), t_out, tol, max_step)
+    flat, stats, nodes, tail, slices = _integrate_stops(gen, y0, t_out, tol)
     maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, gen.gaps))[:, :, None]
 
     if jumps:
-        pmap = maps[-1]
         needed, slot = np.unique(periods, return_inverse=True)
-        powers = np.empty((needed.size,) + block.shape, dtype=complex)
-        w, j = block, 0
-        for k, target in enumerate(needed):
-            for _ in range(target - j):
-                w = pmap @ w
-            j = target
-            powers[k] = w
+        powers = _period_powers(maps[-1], block, needed)
         # One product per phase or per period, whichever are fewer.
         images = np.empty((times.size,) + block.shape, dtype=complex)
         if phases.size <= needed.size:
@@ -630,11 +724,21 @@ def _propagate(gen, block, times, tol):
         images = maps[index]
 
     lab = gen.to_lab(phases, index, images.reshape(times.size, n, n, -1))
-    return lab, images, stats, (nodes, tail)
+    return lab, images, stats, (nodes, tail, slices)
 
 
 @dataclass(eq=False)
 class Diagnostics:
+    """Term counts, integrator statistics and quality indicators of a run.
+
+    ``phase_nodes`` and ``phase_tail`` are the one-period map's Chebyshev
+    node count (0 when the integrator stopped at every phase) and relative
+    coefficient tail.  ``period_slices`` is the number S of slices stepped
+    side by side for the map (n <= 3), 0 when it was integrated
+    sequentially; ``steps_accepted``, ``steps_rejected`` and ``rhs_evals``
+    then count block steps of those S slices.
+    """
+
     term_count_static: int = 0
     term_count_oscillating: int = 0
     n_frequency_groups: int = 0
@@ -650,6 +754,7 @@ class Diagnostics:
     fourier_tail: float = 0.0
     phase_nodes: int = 0
     phase_tail: float = 0.0
+    period_slices: int = 0
 
     def as_dict(self):
         return dict(vars(self))
@@ -688,7 +793,7 @@ def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
 
     v0 = gen.start(rho0)
     t_solve = _time.perf_counter()
-    lab, images, stats, (nodes, tail) = _propagate(gen, v0[:, None], times, tol)
+    lab, images, stats, (nodes, tail, slices) = _propagate(gen, v0[:, None], times, tol)
     solution_time = _time.perf_counter() - t_solve
 
     states = lab[..., 0]
@@ -706,6 +811,7 @@ def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
         max_hermiticity_defect=hermiticity_defect(states),
         phase_nodes=nodes,
         phase_tail=float(tail),
+        period_slices=slices,
         **terms,
     )
     result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
@@ -720,9 +826,8 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
     basis and propagated by the one-period map (see :func:`_propagate`) to
     ``times`` (strictly increasing, nonnegative), and lab-frame states are
     reconstructed with the Floquet mode matrix.  The step and RHS counts in
-    the diagnostics are those of the one-period integration;
-    ``phase_nodes`` and ``phase_tail`` are its Chebyshev node count (0 when
-    the integrator stopped at every phase) and relative coefficient tail.
+    the diagnostics are those of the one-period integration (see
+    :class:`Diagnostics`).
     """
     return _evolve(_rate_generator(rates, basis), rho0, times, tol, store_floquet,
                    term_count_static=rates.kept_static,

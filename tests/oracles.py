@@ -7,8 +7,10 @@ systems.  They share only ``fourier_coefficients`` with the harmonic store
 that ``build_terms`` fills.  That store keeps harmonics m >= 0 only;
 :func:`full_harmonics` expands it to every m by the mirror identity on its
 own, without the package's evaluation of R(t).  The Lindblad generator as an explicit
-superoperator and full-span stepping check the direct solver, which
-propagates by the one-period map.
+superoperator (Kronecker products) and in matrix form (:func:`matrix_rhs`),
+full-span stepping and stop-by-stop stepping of one period
+(:func:`sequential_period_maps`) check the direct solver and the one-period
+map, whose small systems step slices of the period side by side.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from flime import fourier_coefficients, integrate_adaptive, sandwich_superop
-from flime.lindblad import matrix_rhs
 from flime.qops import unfold
 from flime.solver import _SECULAR_REL_TOL
 
@@ -155,28 +156,35 @@ def term_counts(basis, channel, k_max, secular_cutoff, coeff_floor):
     return candidates, static, len(kept), np.array([np.mean(g) for g in groups])
 
 
-def factored_rhs(rates, basis):
-    """Floquet-picture RHS of a complete rate set from the single Lindblad
-    operators S(t) = sum_k c_k exp(1j*(eps_a - eps_b + k*omega)*t) of each
-    channel, on a flattened ``(n^2, B)`` block."""
+def factored_matrix(rates, basis):
+    """Floquet-picture rate matrix R(t) of a complete rate set from the
+    single Lindblad operators S(t) = sum_k c_k exp(1j*(eps_a - eps_b + k*omega)*t)
+    of each channel, as Kronecker products in column stacking: shape
+    (n^2, n^2) for a scalar t, (*t.shape, n^2, n^2) for an array of times,
+    one time at a time."""
     n = basis.dim
     eps = basis.quasienergies
+    eye = np.eye(n, dtype=complex)
     ks = np.arange(-rates.k_max, rates.k_max + 1)
     items = [(ch.rate, fourier_coefficients(basis, ch.operator, rates.k_max).coeffs)
              for ch in rates.channels]
 
-    def rhs(t, v):
-        rho = v.reshape(n, n, -1).transpose(2, 1, 0)
+    def one(t):
         kph = np.exp(1j * ks * basis.omega * t)
         eph = np.exp(1j * eps * t)
-        out = np.zeros_like(rho)
+        out = np.zeros((n * n, n * n), dtype=complex)
         for rate, coeffs in items:
             s = (coeffs @ kph) * np.outer(eph, eph.conj())
             sds = s.conj().T @ s
-            out += rate * (s @ rho @ s.conj().T - 0.5 * (sds @ rho + rho @ sds))
-        return out.transpose(2, 1, 0).ravel()
+            out += rate * (np.kron(s.conj(), s) - 0.5 * np.kron(eye, sds)
+                           - 0.5 * np.kron(sds.T, eye))
+        return out
 
-    return rhs
+    def at(t):
+        t = np.asarray(t, dtype=float)
+        return np.array([one(x) for x in t.ravel()]).reshape(t.shape + (n * n, n * n))
+
+    return at
 
 
 def _dissipator_superop(channels, n):
@@ -200,6 +208,28 @@ def liouvillian_at(spec, t):
     return coherent + _dissipator_superop(spec.channels, n)
 
 
+def matrix_rhs(spec):
+    """Right-hand side v -> unfold(-1j[H(t), rho] + dissipator) in matrix form.
+
+    ``v`` is a flattened ``(n^2, B)`` block of supervectors (B = 1 for a
+    single one), and every column is advanced by the same matrix products.
+    """
+    n = spec.dim
+    hamiltonian = spec.hamiltonian
+    ops = [(ch.rate, ch.operator, ch.operator.conj().T, ch.operator.conj().T @ ch.operator)
+           for ch in spec.channels if ch.rate > 0.0]
+
+    def rhs(t, v):
+        rho = v.reshape(n, n, -1).T
+        h = hamiltonian(t)
+        drho = -1j * (h @ rho - rho @ h)
+        for rate, s, sd, sds in ops:
+            drho += rate * (s @ rho @ sd - 0.5 * (sds @ rho + rho @ sds))
+        return drho.T.ravel()
+
+    return rhs
+
+
 def direct_full_span(spec, rho0, times, tol):
     """Lab-frame states from stepping the direct generator over the whole
     span, with the integrator stopping exactly at every one of ``times``."""
@@ -208,3 +238,33 @@ def direct_full_span(spec, rho0, times, tol):
     vecs, _ = integrate_adaptive(matrix_rhs(spec), 0.0, unfold(rho0), times,
                                  rtol=tol.rtol, atol=tol.atol, max_step=max_step)
     return vecs.reshape(-1, n, n).transpose(0, 2, 1)
+
+
+def sequential_stops(gen, y0, stops, tol):
+    """Solution of dv/dt = A(t) v, v(0) = y0 an (n^2, B) block, of the
+    generator ``gen`` (``solver._Generator``) at the increasing ``stops``,
+    shape (len(stops), n^2, B): the flattened block stepped from stop to
+    stop by one ``integrate_adaptive`` call, with A(t) formed at one time
+    per stage and the step capped as the one-period map caps it."""
+    nn = gen.dim * gen.dim
+    max_step = tol.max_step * gen.period if tol.max_step is not None else gen.max_step
+
+    def rhs(t, v):
+        return (gen.matrix(t) @ v.reshape(nn, -1)).ravel()
+
+    out, _ = integrate_adaptive(rhs, 0.0, y0.ravel(), stops, rtol=tol.rtol, atol=tol.atol,
+                                max_step=max_step)
+    return out.reshape(len(stops), nn, -1)
+
+
+def sequential_powers(pmap, block, periods):
+    """``pmap**j @ block`` for the increasing ``periods`` j, one product per
+    period, in the precision of the inputs."""
+    out = np.empty((len(periods),) + block.shape, dtype=np.result_type(pmap, block))
+    w, j = block, 0
+    for k, target in enumerate(periods):
+        for _ in range(target - j):
+            w = pmap @ w
+        j = target
+        out[k] = w
+    return out

@@ -63,6 +63,8 @@ class TestEvolveCommand:
         # 100 phases per period: interpolated from Chebyshev nodes
         assert diagnostics["phase_nodes"] >= 65
         assert 0.0 <= diagnostics["phase_tail"] <= 1e-8
+        # n = 2: the nodes cut the period into slices stepped side by side
+        assert diagnostics["period_slices"] >= diagnostics["phase_nodes"] - 1
 
     def test_both_solvers_and_agreement_report(self, tmp_path):
         cfg = _write_config(tmp_path, _base_config(solver="both"))

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import flime.lindblad as lindblad_mod
 from flime import (CollapseChannel, LiouvillianSpec, OdeTol, PeriodicHamiltonian,
                    build_driven_2ls_full, build_rotating_frame_2ls, build_terms,
                    compute_basis, evolve, evolve_direct, fold,
                    pure_state_density, sigma_minus, trace_distance, unfold)
-from flime.lindblad import matrix_rhs
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states)
-from oracles import liouvillian_at
+from oracles import liouvillian_at, matrix_rhs
 
 
 class TestLiouvillian:
@@ -58,6 +58,18 @@ class TestLiouvillian:
         for t in rng.uniform(0.0, 4.0, 5):
             v = unfold(random_density(rng, 2))
             assert np.max(np.abs(rhs(t, v) - liouvillian_at(spec, t) @ v)) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generator_matrix_matches_kronecker_oracle(self, rng, n):
+        # one time, as the sequential side asks, and many, as the slices do
+        h, channel = random_single_harmonic_system(rng, n)
+        spec = LiouvillianSpec(h, (channel, CollapseChannel(np.eye(n), 0.0)))
+        at = lindblad_mod._liouvillian(spec)
+        times = rng.uniform(0.0, 4.0, 5)
+        oracle = np.array([liouvillian_at(spec, t) for t in times])
+        assert np.max(np.abs(at(times) - oracle)) < 1e-13
+        for t, ref in zip(times, oracle):
+            assert np.max(np.abs(at(float(t)) - ref)) < 1e-13
 
     def test_dimension_mismatch_rejected(self):
         h = PeriodicHamiltonian(1.0, np.zeros((2, 2)))

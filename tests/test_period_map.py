@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import flime.analysis as analysis_mod
+import flime.floquet as floquet_mod
 import flime.lindblad as lindblad_mod
 import flime.solver as solver_mod
 from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
@@ -21,10 +22,10 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
                    build_terms, compute_basis, correlation_g1, evolve, evolve_direct,
                    pure_state_density, sigma_minus, unfold)
 from flime.integrate import integrate_adaptive
-from flime.lindblad import matrix_rhs
 from flime.qops import trace_distance
 from conftest import random_density, random_single_harmonic_system
-from oracles import direct_full_span
+from oracles import (direct_full_span, matrix_rhs, sequential_powers,
+                     sequential_stops)
 
 TOL = OdeTol(rtol=1e-10, atol=1e-12)
 ORACLE_TOL = OdeTol(rtol=1e-11, atol=1e-13)
@@ -35,7 +36,7 @@ def _oracle(rates, basis, rho0, times):
     n = basis.dim
     v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
     gen = solver_mod._rate_generator(rates, basis)
-    vecs, _ = integrate_adaptive(gen.rhs, 0.0, v0, times, rtol=ORACLE_TOL.rtol,
+    vecs, _ = integrate_adaptive(solver_mod._make_rhs(gen), 0.0, v0, times, rtol=ORACLE_TOL.rtol,
                                  atol=ORACLE_TOL.atol, max_step=gen.max_step)
     rho_f = vecs.reshape(-1, n, n).transpose(0, 2, 1)
     w = basis.modes_at_many(times) * np.exp(-1j * np.outer(times, basis.quasienergies))[:, None, :]
@@ -161,7 +162,7 @@ def test_many_phases_take_few_steps(monkeypatch):
     state = pure_state_density([0.6, 0.8j])
     v0 = unfold(basis.modes0.conj().T @ state @ basis.modes0)[:, None]
     gen = solver_mod._rate_generator(rates, basis)
-    _, _, stats, (nodes, tail) = solver_mod._propagate(gen, v0, taus, tol)
+    _, _, stats, (nodes, tail, _) = solver_mod._propagate(gen, v0, taus, tol)
     # stopping at each of the 2048 phases took at least 2048 steps
     assert stats.steps_accepted < 400
     assert nodes > 0 and tail <= tol.rtol
@@ -178,7 +179,7 @@ def test_failed_tail_falls_back_to_exact_stops(monkeypatch):
     taus = np.linspace(0.0, 6.0, 100)
     block = np.eye(4, dtype=complex)
     gen = solver_mod._rate_generator(rates, basis)
-    lab, images, stats, (nodes, tail) = solver_mod._propagate(gen, block, taus, tol)
+    lab, images, stats, (nodes, tail, _) = solver_mod._propagate(gen, block, taus, tol)
     assert (nodes, tail) == (0, 0.0)
     _exact_stops(monkeypatch)
     lab_exact, images_exact, stats_exact, _ = solver_mod._propagate(gen, block, taus, tol)
@@ -186,6 +187,119 @@ def test_failed_tail_falls_back_to_exact_stops(monkeypatch):
     np.testing.assert_array_equal(images, images_exact)
     # the counts include the rejected 65-node attempt
     assert stats.rhs_evals > stats_exact.rhs_evals
+
+
+def _generator(kind, name):
+    """A rate-matrix or lab-frame generator of the 2LS or n = 3 system."""
+    if kind == "rates":
+        h, channel, _, _ = _system(name)
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
+        return solver_mod._rate_generator(rates, basis)
+    spec, _ = _direct_system("criterion-11" if name == "2ls" else name)
+    return lindblad_mod._lab_generator(spec)
+
+
+def _stops(name, period):
+    rng = np.random.default_rng(9)
+    if name == "uniform-phases":
+        return np.arange(17) * (period / 16)
+    if name == "chebyshev-65":
+        return solver_mod._chebyshev_nodes(period, 65)
+    if name == "period":
+        return np.array([period])
+    # more stops than nodes, each of them a stop: the exact-stop fallback
+    if name == "exact-fallback":
+        return np.sort(rng.uniform(0.0, period, 100))
+    # the first period only: the block itself, not the identity
+    return np.sort(rng.uniform(0.0, 0.8 * period, 7))
+
+
+@pytest.mark.parametrize("stops", ["uniform-phases", "chebyshev-65", "period",
+                                   "exact-fallback", "no-jump-block"])
+@pytest.mark.parametrize("name", ["2ls", "n3"])
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_sliced_maps_match_sequential_integration(kind, name, stops, monkeypatch):
+    gen = _generator(kind, name)
+    nn = gen.dim ** 2
+    tol = OdeTol(rtol=1e-9, atol=1e-12)
+    points = _stops(stops, gen.period)
+    if stops == "no-jump-block":
+        rng = np.random.default_rng(2)
+        y0 = np.stack([unfold(random_density(rng, gen.dim)) for _ in range(3)], axis=1)
+    else:
+        y0 = np.eye(nn, dtype=complex)
+    if stops == "exact-fallback":
+        _exact_stops(monkeypatch)
+    flat, stats, nodes, _, slices = solver_mod._integrate_stops(gen, y0, points, tol)
+    ours = flat.reshape(points.size, nn, -1)
+    ref = sequential_stops(gen, y0, points, tol)
+    assert nodes == 0 and stats.steps_accepted > 0
+    # every stop bounds a slice, and no slice is longer than T/16
+    assert slices >= max(points.size - 1, int(np.ceil(points[-1] / (gen.period / 16))))
+    assert np.max(np.abs(ours - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.03])
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_one_short_time_takes_at_most_one_slice(kind, fraction):
+    gen = _generator(kind, "2ls")
+    block = np.random.default_rng(3).normal(size=(4, 2)) + 0j
+    t = fraction * gen.period
+    _, images, stats, (_, _, slices) = solver_mod._propagate(gen, block, [t], TOL)
+    ref = sequential_stops(gen, block, [t], TOL)[0] * np.exp(-1j * t * gen.gaps)[:, None]
+    assert np.max(np.abs(images[0] - ref)) <= 1e-10
+    # time 0 is the block itself, with no step taken
+    assert slices == (t > 0) and (stats.steps_accepted > 0) == (t > 0)
+
+
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_four_levels_step_the_period_sequentially(kind):
+    rng = np.random.default_rng(31)
+    h, channel = random_single_harmonic_system(rng, 4)
+    if kind == "rates":
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
+        gen = solver_mod._rate_generator(rates, basis)
+    else:
+        gen = lindblad_mod._lab_generator(LiouvillianSpec(h, (channel,)))
+    tol = OdeTol(rtol=1e-9, atol=1e-12)
+    points = np.arange(9) * (gen.period / 8)
+    y0 = np.eye(16, dtype=complex)
+    flat, stats, _, _, slices = solver_mod._integrate_stops(gen, y0, points, tol)
+    assert slices == 0 and stats.steps_accepted > 0
+    np.testing.assert_array_equal(flat.reshape(9, 16, 16), sequential_stops(gen, y0, points, tol))
+    times = np.linspace(0.0, 3 * gen.period, 13)
+    res = evolve_direct(LiouvillianSpec(h, (channel,)), random_density(rng, 4), times, tol=tol)
+    assert res.diagnostics.period_slices == 0
+
+
+@pytest.mark.parametrize("name", ["2ls", "n3"])
+def test_period_powers_match_sequential_loop(name):
+    gen = _generator("lab", name)
+    nn = gen.dim ** 2
+    tol = OdeTol(rtol=1e-9, atol=1e-12)
+    flat, *_ = solver_mod._integrate_stops(gen, np.eye(nn, dtype=complex),
+                                           np.array([gen.period]), tol)
+    pmap = flat.reshape(nn, nn)
+    block = np.random.default_rng(4).normal(size=(nn, 2)) + 0j
+    dense = np.arange(100_001)
+    sparse = np.array([0, 7, 10_000, 100_000])
+    ours = solver_mod._period_powers(pmap, block, dense)
+    np.testing.assert_array_equal(solver_mod._period_powers(pmap, block, sparse), ours[sparse])
+    loop = sequential_powers(pmap, block, dense)
+    scale = np.max(np.abs(loop))
+    exact = sequential_powers(pmap.astype(np.clongdouble), block.astype(np.clongdouble), sparse)
+    error = np.max(np.abs(ours[sparse] - exact)) / scale
+    loop_error = np.max(np.abs(loop[sparse] - exact)) / scale
+    # fewer roundings in sequence than the loop's 10^5: closer to the
+    # extended-precision powers than the loop is
+    assert error <= min(2e-13, loop_error)
+    if name == "2ls":
+        assert np.max(np.abs(ours - loop)) <= 1e-12 * scale
+    else:
+        # the loop itself is about 1e-12 from the extended-precision powers
+        assert loop_error > 1e-13
 
 
 def _direct_system(name):
@@ -262,23 +376,58 @@ def test_max_step_reaches_the_integrator(monkeypatch):
     spec, rho0 = _direct_system("criterion-11")
     basis = compute_basis(spec.hamiltonian)
     rates = build_terms(basis, spec.channels, k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
+    rng = np.random.default_rng(31)
+    h4, channel4 = random_single_harmonic_system(rng, 4)
+    spec4 = LiouvillianSpec(h4, (channel4,))
     tol = OdeTol(rtol=1e-9, atol=1e-12, max_step=0.05)
     taus = np.linspace(0.0, 3.0, 31)
     recorded = []
+    spans = []
 
     def recording(*args, **kwargs):
-        recorded.append(kwargs.get("max_step", np.inf))
+        # a sequential integration in t: the step cap it was given
+        recorded.append(("sequential", kwargs.get("max_step", np.inf)))
         return integrate_adaptive(*args, **kwargs)
+
+    def recording_span(rhs, t0, y0, t_out, **kwargs):
+        spans.append((t0, t_out[-1]))
+        return integrate_adaptive(rhs, t0, y0, t_out, **kwargs)
+
+    sub_propagators = solver_mod._sub_propagators
+
+    def recording_slices(block_at, n, starts, lengths, tol, factor=1.0):
+        # slices in s from 0 to their longest length: an s-step is at most
+        # that, and slice j scales it by lengths[j] / lengths.max(), so a
+        # step in t is at most the slice's length
+        spans.clear()
+        out = sub_propagators(block_at, n, starts, lengths, tol, factor)
+        assert spans == [(0.0, lengths.max())]
+        recorded.append(("sliced", lengths.max()))
+        return out
 
     for module in (solver_mod, analysis_mod, lindblad_mod):
         monkeypatch.setattr(module, "integrate_adaptive", recording)
+    monkeypatch.setattr(floquet_mod, "integrate_adaptive", recording_span)
+    monkeypatch.setattr(solver_mod, "_sub_propagators", recording_slices)
+    period = spec.hamiltonian.period
     runs = {
-        "direct g1": lambda: correlation_g1(spec, rho0, sigma_minus, taus, tol=tol),
-        "rates g1": lambda: correlation_g1((rates, basis), rho0, sigma_minus, taus, tol=tol),
-        "evolve_direct": lambda: evolve_direct(spec, rho0, taus, tol=tol),
-        "reference cycle": lambda: ReferencePropagator(spec, tol).cycle(unfold(rho0), 0, taus[:4]),
+        "direct g1": (period, lambda: correlation_g1(spec, rho0, sigma_minus, taus, tol=tol)),
+        "rates g1": (period, lambda: correlation_g1((rates, basis), rho0, sigma_minus, taus,
+                                                    tol=tol)),
+        "evolve_direct": (period, lambda: evolve_direct(spec, rho0, taus, tol=tol)),
+        "reference cycle": (period, lambda: ReferencePropagator(spec, tol).cycle(
+            unfold(rho0), 0, taus[:4])),
+        # n = 4 steps the period sequentially
+        "evolve_direct n=4": (h4.period, lambda: evolve_direct(
+            spec4, random_density(rng, 4), taus, tol=tol)),
     }
-    for name, run in runs.items():
+    for name, (run_period, run) in runs.items():
         recorded.clear()
         run()
-        assert recorded and all(m == 0.05 * spec.hamiltonian.period for m in recorded), name
+        cap = 0.05 * run_period
+        kind = "sequential" if name.endswith("n=4") else "sliced"
+        assert recorded and all(k == kind for k, _ in recorded), name
+        if kind == "sequential":
+            assert all(m == cap for _, m in recorded), name
+        else:
+            assert all(m <= cap * (1.0 + 1e-12) for _, m in recorded), name

@@ -11,7 +11,7 @@ from flime import (CollapseChannel, FloquetBasis, LiouvillianSpec, OdeTol, assem
                    trace_distance, unfold)
 from conftest import (random_density, random_single_harmonic_system,
                       rk4_schrodinger_states, shift_gauge)
-from oracles import (dissipator_bruteforce, enumerate_terms, factored_rhs,
+from oracles import (dissipator_bruteforce, enumerate_terms, factored_matrix,
                      full_harmonics, oscillating_terms, term_counts)
 
 
@@ -225,7 +225,7 @@ class TestHalfStore:
         # evaluation
         _, basis, channel = rwa_setup
         rates = build_terms(basis, [channel], k_max=4, secular_cutoff=np.inf, coeff_floor=0.0)
-        rhs = solver_mod._make_rhs(rates, basis)
+        rhs = solver_mod._make_rhs(solver_mod._rate_generator(rates, basis))
         rng = np.random.default_rng(3)
         v1, v2 = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
         for t, v in [(0.37, v1), (0.37, v2), (1.1, v1), (0.37, v2)]:
@@ -349,13 +349,15 @@ class TestEvolve:
         tol = OdeTol(rtol=1e-11, atol=1e-13)
         rates = build_terms(basis, [channel], k_max=6,
                             secular_cutoff=np.inf, coeff_floor=0.0)
-        oracle = factored_rhs(rates, basis)
-        rhs = solver_mod._make_rhs(rates, basis)
-        v = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 4))
-        for t in [0.0, 0.37, 2.9]:
-            assert np.max(np.abs(rhs(t, v) - oracle(t, v))) < 1e-14
+        oracle = factored_matrix(rates, basis)
+        at = solver_mod._rate_matrix(rates)
+        ts = np.array([0.0, 0.37, 2.9])
+        # one time, as the sequential side asks, and many, as the slices do
+        for t in ts:
+            assert np.max(np.abs(at(t) - oracle(t))) < 1e-14
+        assert np.max(np.abs(at(ts) - oracle(ts))) < 1e-14
         r_store = evolve(rates, basis, rho0, times, tol=tol)
-        monkeypatch.setattr(solver_mod, "_make_rhs", factored_rhs)
+        monkeypatch.setattr(solver_mod, "_rate_matrix", lambda rates: oracle)
         r_oracle = evolve(rates, basis, rho0, times, tol=tol)
         dist = max(trace_distance(a, b) for a, b in zip(r_store.states, r_oracle.states))
         assert dist < 1e-11
