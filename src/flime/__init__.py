@@ -23,16 +23,16 @@ from .hamiltonians import (DEFAULT_TIME_UNIT, HarmonicTerm, PeriodicHamiltonian,
 from .integrate import IntegrationError, IntegratorStats, OdeTol, integrate_adaptive
 from .lindblad import LiouvillianSpec, evolve_direct
 from .qops import (check_density_matrix, expect, fold, hermiticity_defect,
-                   pure_state_density, sandwich_superop, sigma_minus, sigma_plus,
+                   pure_state_density, sigma_minus, sigma_plus,
                    sigma_x, sigma_y, sigma_z, trace_distance, unfold,
                    unitarity_defect)
 from .solver import (CollapseChannel, Diagnostics, EvolutionResult, RateTermSet,
-                     assemble, build_terms, evolve)
+                     build_terms, evolve)
 
 __all__ = [
     "__version__",
     # qops
-    "unfold", "fold", "sandwich_superop", "expect", "trace_distance",
+    "unfold", "fold", "expect", "trace_distance",
     "hermiticity_defect", "unitarity_defect",
     "check_density_matrix", "pure_state_density",
     "sigma_x", "sigma_y", "sigma_z", "sigma_minus", "sigma_plus",
@@ -49,7 +49,7 @@ __all__ = [
     "fourier_coefficients",
     # solver
     "CollapseChannel", "RateTermSet", "Diagnostics", "EvolutionResult",
-    "build_terms", "assemble", "evolve",
+    "build_terms", "evolve",
     # lindblad
     "LiouvillianSpec", "evolve_direct",
     # analysis

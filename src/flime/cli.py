@@ -163,9 +163,8 @@ class RunConfig:
         self.raw = raw
 
         unit_raw = raw.get("unit", {})
-        _check_keys(unit_raw, {"label", "scale"}, "unit")
-        self.unit = TimeUnit(unit_raw.get("label", DEFAULT_TIME_UNIT.label),
-                             float(unit_raw.get("scale", DEFAULT_TIME_UNIT.scale)))
+        _check_keys(unit_raw, {"scale"}, "unit")
+        self.unit = TimeUnit(float(unit_raw.get("scale", DEFAULT_TIME_UNIT.scale)))
 
         system = raw.get("system")
         if not isinstance(system, dict) or "kind" not in system:

@@ -1,9 +1,9 @@
 """Floquet analysis of time-periodic Hamiltonians.
 
 Computes the one-period propagator (monodromy matrix), quasienergies and
-Floquet modes from its eigendecomposition, a uniform time grid of modes and
-propagators over one period, and the Fourier coefficients of system
-operators expressed in the Floquet mode basis.
+Floquet modes from its eigendecomposition, a uniform time grid of modes over
+one period, and the Fourier coefficients of system operators expressed in
+the Floquet mode basis.
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +59,7 @@ def brillouin_fold(value, omega):
 
 @dataclass(frozen=True, eq=False)
 class FloquetBasis:
-    """Quasienergies, Floquet modes on a one-period grid, and propagators.
+    """Quasienergies and Floquet modes on a one-period grid.
 
     Attributes
     ----------
@@ -71,12 +71,9 @@ class FloquetBasis:
         Uniform samples of [0, T).
     mode_grid : ndarray, shape (n_samples, N, N)
         Mode matrices at each grid time (columns are modes).
-    propagators : ndarray, shape (n_samples, N, N)
-        One-period propagator samples U(t_j, 0).
-    grid_monodromy : ndarray, shape (N, N)
-        U(T, 0) as the product of the grid's sub-interval propagators.
     closure_defect : float
-        max |phi(T) - phi(0)|, with phi(T) from ``grid_monodromy``.
+        max |phi(T) - phi(0)|, with phi(T) from the product of the grid's
+        sub-interval propagators.
     """
 
     omega: float
@@ -84,8 +81,6 @@ class FloquetBasis:
     modes0: np.ndarray
     grid_times: np.ndarray
     mode_grid: np.ndarray
-    propagators: np.ndarray
-    grid_monodromy: np.ndarray
     closure_defect: float = 0.0
     _coarse_freqs: np.ndarray = field(init=False, repr=False)
     _split_coeffs: np.ndarray = field(init=False, repr=False)
@@ -115,12 +110,13 @@ class FloquetBasis:
 
     @property
     def unitarity_defect(self):
-        """Largest max |U^dag U - 1| over ``propagators`` and ``grid_monodromy``."""
-        return max(unitarity_defect(self.propagators), unitarity_defect(self.grid_monodromy))
+        """max |M^dag M - 1| over the mode matrices M of ``mode_grid``.
 
-    def modes_at(self, t):
-        """Mode matrix at arbitrary time by trigonometric interpolation."""
-        return self.modes_at_many([float(t)])[0]
+        They are U(t_j) ``modes0`` times unimodular phases, so this checks
+        the grid propagators U(t_j) and the orthonormality of ``modes0``
+        together.
+        """
+        return unitarity_defect(self.mode_grid)
 
     def modes_at_many(self, times):
         """Mode matrices at an array of times, shape (len(times), N, N).
@@ -139,21 +135,15 @@ class FloquetBasis:
         partial = (coarse @ self._split_coeffs).reshape(times.size, _SPLIT, n * n)
         return (fine[:, None, :] @ partial).reshape(times.size, n, n)
 
-    def floquet_states_at(self, t):
-        """Floquet state matrix W(t), columns |phi_b(t)> exp(-1j*eps_b*t)."""
-        t = float(t)
-        return self.modes_at_many([t])[0] * np.exp(-1j * self.quasienergies * t)
-
 
 @dataclass(frozen=True, eq=False)
 class FourierOperator:
     """Fourier coefficients of a system operator in the Floquet mode basis.
 
     ``coeffs[a, b, j]`` is the coefficient of ``exp(1j*k*omega*t)`` in
-    ``<phi_a(t)|source|phi_b(t)>`` for ``k = k_values[j]``.
+    ``<phi_a(t)|operator|phi_b(t)>`` for ``k = k_values[j]``.
     """
 
-    source: np.ndarray
     omega: float
     k_max: int
     coeffs: np.ndarray
@@ -167,13 +157,6 @@ class FourierOperator:
         """Largest coefficient magnitude at |k| = k_max (truncation diagnostic)."""
         return float(max(np.max(np.abs(self.coeffs[:, :, 0])),
                          np.max(np.abs(self.coeffs[:, :, -1]))))
-
-    def coeff(self, alpha, beta, k):
-        return self.coeffs[alpha, beta, k + self.k_max]
-
-    def element_at(self, alpha, beta, t):
-        """Reconstruct <phi_a(t)|source|phi_b(t)> from the truncated series."""
-        return np.sum(self.coeffs[alpha, beta, :] * np.exp(1j * self.k_values * self.omega * t))
 
 
 def _stacked_product(a, b):
@@ -339,7 +322,7 @@ def floquet_decompose(u_period, omega):
 
 
 def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
-    """Floquet modes and propagators on a uniform grid over one period.
+    """Floquet modes on a uniform grid over one period.
 
     The ``n_samples`` (a power of two) sub-intervals [t_j, t_j + T/N] are
     integrated side by side as one (N, n*n) block, like :func:`monodromy`'s
@@ -347,9 +330,10 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     harmonic table (:meth:`PeriodicHamiltonian.on_grid`).  The running
     product U(t_{j+1}) = V_j U(t_j) of the sub-interval propagators gives the
     grid and a second U(T); it is blocked (:func:`_prefix_products`), about
-    2 sqrt(N) NumPy calls instead of N sequential products.  For n <= 3 the
-    RHS, the running products and the modes U(t_j) modes0 of the long grid
-    go entry by entry instead of through matmul (:func:`_stacked_product`).
+    2 sqrt(N) NumPy calls instead of N sequential products, and the basis
+    keeps only the modes it gives.  For n <= 3 the RHS, the running products
+    and the modes U(t_j) modes0 of the long grid go entry by entry instead
+    of through matmul (:func:`_stacked_product`).
     ``closure_defect`` compares that U(T) with ``modes0``, which come from
     :func:`monodromy`'s integration over a different partition (never a
     power of two) with the pointwise H(t), so it cross-checks two
@@ -369,12 +353,10 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
     running[0] = np.eye(n)
     running[1:] = factors
     _prefix_products(running[1:])
-    propagators = running[:-1]
-    u_final = running[-1]
 
-    modes = _stacked_product(propagators, modes0)
+    modes = _stacked_product(running[:-1], modes0)
     modes *= np.exp(1j * np.outer(times, quasienergies))[:, None, :]
-    closing = (u_final @ modes0) * np.exp(1j * quasienergies * period)
+    closing = (running[-1] @ modes0) * np.exp(1j * quasienergies * period)
     closure = float(np.max(np.abs(closing - modes0)))
     return FloquetBasis(
         omega=hamiltonian.omega,
@@ -382,8 +364,6 @@ def mode_grid(hamiltonian, quasienergies, modes0, n_samples=256, tol=BASIS_TOL):
         modes0=np.asarray(modes0, dtype=complex),
         grid_times=times,
         mode_grid=modes,
-        propagators=propagators,
-        grid_monodromy=u_final,
         closure_defect=closure,
     )
 
@@ -412,4 +392,4 @@ def fourier_coefficients(basis, operator, k_max):
     spectrum = np.fft.fft(elements, axis=0) / basis.n_samples
     idx = [k % basis.n_samples for k in range(-k_max, k_max + 1)]
     coeffs = np.moveaxis(spectrum[idx], 0, -1)
-    return FourierOperator(source=operator, omega=basis.omega, k_max=int(k_max), coeffs=coeffs)
+    return FourierOperator(omega=basis.omega, k_max=int(k_max), coeffs=coeffs)

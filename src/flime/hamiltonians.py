@@ -54,7 +54,6 @@ class TimeUnit:
     ``scale`` is the number of rad/ns represented by one internal unit.
     """
 
-    label: str = "rad/ns"
     scale: float = 1.0
 
     def __post_init__(self):

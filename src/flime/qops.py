@@ -17,7 +17,6 @@ __all__ = [
     "pure_state_density",
     "unfold",
     "fold",
-    "sandwich_superop",
     "expect",
     "trace_distance",
     "hermiticity_defect",
@@ -65,18 +64,6 @@ def fold(v):
     if n * n != v.size:
         raise ValueError(f"supervector length {v.size} is not a perfect square")
     return v.reshape((n, n), order="F").copy()
-
-
-def sandwich_superop(x, y):
-    """Superoperator M with M @ unfold(rho) == unfold(x @ rho @ y).
-
-    Under column stacking this is the Kronecker product transpose(y) (x) x.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return np.kron(y.T, x)
 
 
 def expect(a, rho):

@@ -57,7 +57,6 @@ __all__ = [
     "Diagnostics",
     "EvolutionResult",
     "build_terms",
-    "assemble",
     "evolve",
 ]
 
@@ -423,11 +422,6 @@ def _rate_matrix(rates):
     return at
 
 
-def assemble(rates, t):
-    """Materialize the rate superoperator R(t) (see :class:`RateTermSet`)."""
-    return _rate_matrix(rates)(t)
-
-
 @dataclass(frozen=True, eq=False)
 class _Generator:
     """A T-periodic linear generator dv/dt = A(t) v, as the one-period map
@@ -767,14 +761,13 @@ class EvolutionResult:
     times: np.ndarray
     states: np.ndarray
     diagnostics: Diagnostics
-    floquet_states: np.ndarray | None = None
 
     def expectation(self, operator):
         """Tr(operator @ rho(t)) for every output time."""
         return np.einsum("ij,tji->t", np.asarray(operator, dtype=complex), self.states)
 
 
-def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
+def _evolve(gen, rho0, times, tol, **terms):
     """Body of :func:`evolve` and ``lindblad.evolve_direct``: check the
     inputs, propagate ``rho0`` by the one-period map of ``gen`` and report
     the run in :class:`Diagnostics`, with ``terms`` as its term fields."""
@@ -793,14 +786,10 @@ def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
 
     v0 = gen.start(rho0)
     t_solve = _time.perf_counter()
-    lab, images, stats, (nodes, tail, slices) = _propagate(gen, v0[:, None], times, tol)
+    lab, _, stats, (nodes, tail, slices) = _propagate(gen, v0[:, None], times, tol)
     solution_time = _time.perf_counter() - t_solve
 
     states = lab[..., 0]
-    rho_f = None
-    if store_floquet:
-        rho_f = (images[:, :, 0] * np.exp(1j * np.outer(times, gen.gaps))).reshape(
-            -1, n, n).transpose(0, 2, 1)
     traces = np.einsum("tii->t", states)
     diag = Diagnostics(
         steps_accepted=stats.steps_accepted,
@@ -814,12 +803,12 @@ def _evolve(gen, rho0, times, tol, store_floquet=False, **terms):
         period_slices=slices,
         **terms,
     )
-    result = EvolutionResult(times=times, states=states, diagnostics=diag, floquet_states=rho_f)
+    result = EvolutionResult(times=times, states=states, diagnostics=diag)
     diag.total_time_s = _time.perf_counter() - t_start
     return result
 
 
-def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
+def evolve(rates, basis, rho0, times, tol=None):
     """Propagate a lab-frame density matrix under the decomposed rate matrix.
 
     ``rho0`` is the state at t = 0; it is rotated into the Floquet mode
@@ -829,7 +818,7 @@ def evolve(rates, basis, rho0, times, tol=None, store_floquet=False):
     the diagnostics are those of the one-period integration (see
     :class:`Diagnostics`).
     """
-    return _evolve(_rate_generator(rates, basis), rho0, times, tol, store_floquet,
+    return _evolve(_rate_generator(rates, basis), rho0, times, tol,
                    term_count_static=rates.kept_static,
                    term_count_oscillating=rates.kept_oscillating,
                    n_frequency_groups=rates.n_frequency_groups,

@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 
 from flime import CollapseChannel, FloquetBasis, HarmonicTerm, PeriodicHamiltonian
+from flime.solver import _rate_matrix
+
+
+def assemble(rates, t):
+    """The rate superoperator R(t) of a RateTermSet, from the solver's own closure."""
+    return _rate_matrix(rates)(t)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -112,8 +118,6 @@ def shift_gauge(basis, index, n_shift=1):
         modes0=basis.modes0.copy(),
         grid_times=basis.grid_times.copy(),
         mode_grid=grid,
-        propagators=basis.propagators.copy(),
-        grid_monodromy=basis.grid_monodromy.copy(),
         closure_defect=basis.closure_defect,
     )
 

@@ -3,10 +3,12 @@
 The tuple-by-tuple oracles for the decomposed rate superoperator enumerate
 every index pair ``(alpha, beta, k), (alpha', beta', k')`` of one channel
 explicitly, so they are quadratic in the tuple count and meant for small
-systems.  They share only ``fourier_coefficients`` with the harmonic store
-that ``build_terms`` fills.  That store keeps harmonics m >= 0 only;
-:func:`full_harmonics` expands it to every m by the mirror identity on its
-own, without the package's evaluation of R(t).  The Lindblad generator as an explicit
+systems; each tuple's superoperator is a sum of Kronecker products
+(:func:`sandwich_superop`).  They share only ``fourier_coefficients`` with
+the harmonic store that ``build_terms`` fills.  That store keeps harmonics
+m >= 0 only; :func:`full_harmonics` expands it to every m by the mirror
+identity on its own, without the package's evaluation of R(t).  The
+Lindblad generator as an explicit
 superoperator (Kronecker products) and in matrix form (:func:`matrix_rhs`),
 full-span stepping and stop-by-stop stepping of one period
 (:func:`sequential_period_maps`) check the direct solver and the one-period
@@ -17,9 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flime import fourier_coefficients, integrate_adaptive, sandwich_superop
+from flime import fourier_coefficients, integrate_adaptive
 from flime.qops import unfold
 from flime.solver import _SECULAR_REL_TOL
+
+
+def sandwich_superop(x, y):
+    """Superoperator M with M @ unfold(rho) == unfold(x @ rho @ y).
+
+    Under column stacking this is the Kronecker product transpose(y) (x) x.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return np.kron(y.T, x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
-                   ReferencePropagator, assemble, brillouin_fold,
+                   ReferencePropagator, brillouin_fold,
                    build_bichromatic, build_driven_2ls_full,
                    build_driven_2ls_rwa, build_pulse_train,
                    build_rotating_frame_2ls, build_terms, compute_basis,
@@ -21,7 +21,7 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
                    rwa_steady_state, sigma_minus, spectrum, trace_distance,
                    unfold)
 from flime.cli import main as cli_main
-from conftest import (random_density, random_single_harmonic_system,
+from conftest import (assemble, random_density, random_single_harmonic_system,
                       rk4_schrodinger_states)
 from oracles import dissipator_bruteforce
 
@@ -407,13 +407,13 @@ def test_criterion_10_lamb_shift_vanishes():
             for b in range(2):
                 for k in range(-k_max, k_max + 1):
                     phase = np.exp(1j * (eps[a] - eps[b] + k * basis.omega) * t)
-                    s_t[a, b] += four.coeff(a, b, k) * phase
+                    s_t[a, b] += four.coeffs[a, b, k + k_max] * phase
         l0_t = np.zeros((2, 2), dtype=complex)
         for a in range(2):
             for b in range(2):
                 for k in range(-k_max, k_max + 1):
                     phase = np.exp(1j * (eps[a] - eps[b] + k * basis.omega) * t)
-                    l0_t[a, b] += 0.5 * gamma * four.coeff(a, b, k) * phase
+                    l0_t[a, b] += 0.5 * gamma * four.coeffs[a, b, k + k_max] * phase
         h_ls = 0.5 * (l0_t.conj().T @ s_t - s_t.conj().T @ l0_t)
         worst = max(worst, float(np.max(np.abs(h_ls))))
     ok = worst < 1e-14

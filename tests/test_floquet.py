@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,23 +207,37 @@ class TestModeGrid:
         assert basis.closure_defect < 1e-9  # 10x the integration tolerance
 
     def test_propagator_samples_unitary(self):
+        # the modes are U(t_j) modes0 times unimodular phases, so they are
+        # unitary when the grid propagators and modes0 are
         h = _eq29_system()
         basis = compute_basis(h)
-        assert max(unitarity_defect(u) for u in basis.propagators[::16]) < 1e-9
-        per_matrix = [unitarity_defect(u) for u in (*basis.propagators, basis.grid_monodromy)]
+        per_matrix = [unitarity_defect(m) for m in basis.mode_grid]
         assert basis.unitarity_defect == pytest.approx(max(per_matrix), abs=1e-15)
         assert basis.unitarity_defect < 1e-9
+
+    def test_basis_retains_no_propagator_grid(self):
+        # the mode grid and its split Fourier table are each one grid of
+        # n x n matrices; a kept (n_samples + 1, n, n) running product would
+        # make a third
+        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        compute_basis(h, n_samples=1024)  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            basis = compute_basis(h, n_samples=1024)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2.5 * basis.mode_grid.nbytes
 
     @pytest.mark.parametrize("system, n_samples", [
         ("pulse-train", 1024), ("strong-2ls", 256), ("random-n8", 256)])
     def test_batched_grid_matches_sequential_oracle(self, rng, system, n_samples):
         h = _system(system, rng)
         basis = compute_basis(h, n_samples=n_samples)
-        oracle = _sequential_propagators(h, [*basis.grid_times, h.period])
-        assert np.max(np.abs(basis.propagators - oracle[:-1])) < 1e-10
-        assert np.max(np.abs(basis.grid_monodromy - oracle[-1])) < 1e-10
+        oracle = _sequential_propagators(h, basis.grid_times)
         phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
-        modes = np.einsum("tij,jb,tb->tib", oracle[:-1], basis.modes0, phases)
+        modes = np.einsum("tij,jb,tb->tib", oracle, basis.modes0, phases)
         assert np.max(np.abs(basis.mode_grid - modes)) < 1e-10
         assert basis.closure_defect < 1e-9
 
@@ -298,18 +314,16 @@ class TestModeGrid:
         for t in rng.uniform(0, h.period, 3):
             u = rk4_matrix_propagator(h, t, 4096)
             expected = u @ basis.modes0 * np.exp(1j * basis.quasienergies * t)[None, :]
-            assert np.max(np.abs(basis.modes_at(t) - expected)) < 1e-8
+            assert np.max(np.abs(basis.modes_at_many([t])[0] - expected)) < 1e-8
 
     @pytest.mark.parametrize("n_samples", [64, 100, 1024])
     @pytest.mark.parametrize("n_times", [1, 10, 2048])
     def test_split_interpolation_matches_direct_table(self, rng, n_samples, n_times):
         n, omega = 3, 10.0
         grid = rng.normal(size=(n_samples, n, n)) + 1j * rng.normal(size=(n_samples, n, n))
-        eye = np.eye(n, dtype=complex)
         basis = floquet.FloquetBasis(
-            omega=omega, quasienergies=np.zeros(n), modes0=eye,
-            grid_times=np.arange(n_samples) * (2 * np.pi / omega / n_samples),
-            mode_grid=grid, propagators=np.broadcast_to(eye, grid.shape), grid_monodromy=eye)
+            omega=omega, quasienergies=np.zeros(n), modes0=np.eye(n, dtype=complex),
+            grid_times=np.arange(n_samples) * (2 * np.pi / omega / n_samples), mode_grid=grid)
         times = rng.uniform(0.0, 60.0, n_times)
         coeffs = np.fft.fft(grid, axis=0) / n_samples
         freqs = np.fft.fftfreq(n_samples, d=1.0 / n_samples)
@@ -324,19 +338,18 @@ class TestModeGrid:
         basis = compute_basis(h)
         t = 0.4 * h.period
         u = rk4_matrix_propagator(h, t, 4096)
-        assert np.max(np.abs(basis.floquet_states_at(t) - u @ basis.modes0)) < 1e-8
+        w = basis.modes_at_many([t])[0] * np.exp(-1j * basis.quasienergies * t)
+        assert np.max(np.abs(w - u @ basis.modes0)) < 1e-8
 
 
 class TestFourierCoefficients:
     @pytest.mark.parametrize("n, n_samples", [(2, 1024), (4, 64)])
     def test_stacked_products_match_einsum(self, rng, n, n_samples):
-        # the grid's modes and matrix elements come from stacked products,
-        # entry by entry at n = 2 and matmul at n = 4
+        # the grid's matrix elements come from stacked products, entry by
+        # entry at n = 2 and matmul at n = 4
         h, _ = random_single_harmonic_system(rng, n, with_channel=False)
         basis = compute_basis(h, n_samples=n_samples)
-        phases = np.exp(1j * np.outer(basis.grid_times, basis.quasienergies))
-        modes = np.einsum("tij,jb,tb->tib", basis.propagators, basis.modes0, phases)
-        assert np.max(np.abs(basis.mode_grid - modes)) <= 1e-13
+        modes = basis.mode_grid
         s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         elements = np.einsum("tia,ij,tjb->tab", modes.conj(), s, modes)
         spectrum = np.fft.fft(elements, axis=0) / n_samples
@@ -411,8 +424,8 @@ class TestFourierCoefficients:
         for j in js:
             phi = basis.mode_grid[j]
             target = phi.conj().T @ s @ phi
-            recon = np.array([[four.element_at(a, b, basis.grid_times[j])
-                               for b in range(2)] for a in range(2)])
+            phases = np.exp(1j * four.k_values * basis.omega * basis.grid_times[j])
+            recon = four.coeffs @ phases
             assert np.max(np.abs(recon - target)) < 1e-9
 
     def test_reconstruction_error_decreases_with_samples(self):

@@ -32,7 +32,7 @@ ORACLE_TOL = OdeTol(rtol=1e-11, atol=1e-13)
 
 
 def _oracle(rates, basis, rho0, times):
-    """Lab-frame and Floquet-picture states from full-span stepping."""
+    """Lab-frame states from full-span stepping."""
     n = basis.dim
     v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
     gen = solver_mod._rate_generator(rates, basis)
@@ -40,7 +40,7 @@ def _oracle(rates, basis, rho0, times):
                                  atol=ORACLE_TOL.atol, max_step=gen.max_step)
     rho_f = vecs.reshape(-1, n, n).transpose(0, 2, 1)
     w = basis.modes_at_many(times) * np.exp(-1j * np.outer(times, basis.quasienergies))[:, None, :]
-    return w @ rho_f @ w.conj().transpose(0, 2, 1), rho_f
+    return w @ rho_f @ w.conj().transpose(0, 2, 1)
 
 
 def _system(name):
@@ -91,11 +91,9 @@ def test_matches_full_span_stepping(system, rate_set, grid):
         rates = build_terms(basis, [channel], k_max=5, secular_cutoff=0.0)
         assert rates.n_frequency_groups == 0
     times = _grid(grid, h.period)
-    ours = evolve(rates, basis, rho0, times, tol=TOL, store_floquet=True)
-    lab, rho_f = _oracle(rates, basis, rho0, times)
+    ours = evolve(rates, basis, rho0, times, tol=TOL)
+    lab = _oracle(rates, basis, rho0, times)
     assert max(trace_distance(a, b) for a, b in zip(ours.states, lab)) <= 1e-9
-    # store_floquet still returns Floquet-picture (not rotated-frame) states
-    assert np.max(np.abs(ours.floquet_states - rho_f)) <= 1e-9
     assert (ours.diagnostics.phase_nodes > 0) == grid.startswith("dense")
 
 

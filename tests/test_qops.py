@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from flime import (check_density_matrix, expect, fold, pure_state_density,
-                   sandwich_superop, sigma_minus, sigma_plus, sigma_x, sigma_z,
-                   trace_distance, unfold)
+                   sigma_minus, sigma_plus, sigma_x, sigma_z, trace_distance, unfold)
 from conftest import random_density, random_hermitian
+from oracles import sandwich_superop
 
 
 class TestUnfoldFold:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import flime.solver as solver_mod
-from flime import (CollapseChannel, FloquetBasis, LiouvillianSpec, OdeTol, assemble,
+from flime import (CollapseChannel, FloquetBasis, LiouvillianSpec, OdeTol,
                    build_driven_2ls_full, build_driven_2ls_rwa, build_terms,
                    compute_basis, evolve,
                    evolve_direct, fold, pure_state_density, sigma_minus,
                    trace_distance, unfold)
-from conftest import (random_density, random_single_harmonic_system,
+from conftest import (assemble, random_density, random_single_harmonic_system,
                       rk4_schrodinger_states, shift_gauge)
 from oracles import (dissipator_bruteforce, enumerate_terms, factored_matrix,
                      full_harmonics, oscillating_terms, term_counts)
@@ -45,8 +45,8 @@ class TestTermEnumeration:
         from flime import fourier_coefficients
         four = fourier_coefficients(basis, channel.operator, 3)
         for term in enumerate_terms(basis, channel, k_max=3, coeff_floor=1e-12):
-            prod = abs(four.coeff(term.alpha, term.beta, term.k)
-                       * four.coeff(term.alpha2, term.beta2, term.k2))
+            prod = abs(four.coeffs[term.alpha, term.beta, term.k + 3]
+                       * four.coeffs[term.alpha2, term.beta2, term.k2 + 3])
             assert term.negligibility == pytest.approx(abs(term.delta) / prod)
 
     def test_aggregate_matches_per_term_superops(self, rwa_setup):
@@ -164,10 +164,8 @@ def _longitudinal_basis(omega, amplitude, n_samples=64):
     phase = np.exp(-1j * amplitude / omega * np.sin(omega * times))
     modes = np.zeros((n_samples, 2, 2), dtype=complex)
     modes[:, 0, 0], modes[:, 1, 1] = phase, phase.conj()
-    props = modes * np.exp(0.25j * omega * times)[:, None, None] ** np.array([1, -1])
     return FloquetBasis(omega=omega, quasienergies=np.array([-0.25, 0.25]) * omega,
-                        modes0=np.eye(2, dtype=complex), grid_times=times, mode_grid=modes,
-                        propagators=props, grid_monodromy=np.diag([1j, -1j]))
+                        modes0=np.eye(2, dtype=complex), grid_times=times, mode_grid=modes)
 
 
 class TestHalfStore:
@@ -426,17 +424,6 @@ class TestEvolve:
             evolve(rates, basis, good, [-1.0, 1.0])
         with pytest.raises(ValueError, match="trace"):
             evolve(rates, basis, np.diag([0.8, 0.8]), [0.0, 1.0])
-
-    def test_store_floquet_states(self, rwa_setup):
-        h, basis, channel = rwa_setup
-        rates = build_terms(basis, [channel], k_max=4)
-        times = np.array([0.0, 1.0])
-        result = evolve(rates, basis, pure_state_density([1.0, 0.0]), times,
-                        store_floquet=True)
-        assert result.floquet_states.shape == (2, 2, 2)
-        # at t = 0 the interaction-picture state is the rotated initial state
-        expected = basis.modes0.conj().T @ pure_state_density([1.0, 0.0]) @ basis.modes0
-        assert np.max(np.abs(result.floquet_states[0] - expected)) < 1e-12
 
 
 class TestHermiticityPairing:
