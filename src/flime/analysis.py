@@ -51,8 +51,9 @@ class FlimePropagator:
     """Period-by-period propagation by the one-period map of a T-periodic
     generator: the rate matrix of ``rates`` in ``basis``.
 
-    The internal state is the supervector at a whole period, in the frame
-    where the propagator is T-periodic (see ``solver._propagate``).  The
+    The internal state is the real coordinates of the supervector at a
+    whole period (complex for a non-Hermitian start), in the frame where
+    the propagator is T-periodic (see ``solver._propagate``).  The
     first call of :meth:`cycle` builds the lab-frame maps at ``taus`` and
     the one-period map P from one period of integration; each call then
     costs a few small matrix products.
@@ -79,7 +80,7 @@ class FlimePropagator:
         taus = np.asarray(taus, dtype=float)
         if self._taus is None or not np.array_equal(taus, self._taus):
             n2 = self.generator.dim ** 2
-            lab, images, *_ = _propagate(self.generator, np.eye(n2, dtype=complex),
+            lab, images, *_ = _propagate(self.generator, np.eye(n2),
                                          np.append(taus, self.period), self.tol)
             self._taus = taus.copy()
             self._lab_maps = lab[:-1]
@@ -89,8 +90,8 @@ class FlimePropagator:
 
 class ReferencePropagator(FlimePropagator):
     """The same period-by-period propagation under the direct lab-frame
-    Lindblad generator of ``spec``; its internal state is the lab-frame
-    supervector."""
+    Lindblad generator of ``spec``; its internal state is the real
+    coordinates of the lab-frame supervector."""
 
     def __init__(self, spec, tol=None):
         self._bind(_lab_generator(spec), tol)

@@ -32,7 +32,6 @@ BASIS_TOL = OdeTol(rtol=1e-10, atol=1e-12)
 
 _UNITARY_TOL = 1e-9
 _REUNITARIZE_TOL = 1e-6
-_DEGENERACY_REL_TOL = 1e-10
 # Mode Fourier frequencies are split as f = _SPLIT * q + r, 0 <= r < _SPLIT, so
 # that interpolating the modes takes few exponentials (see modes_at_many).
 _SPLIT = 16
@@ -160,8 +159,8 @@ class FourierOperator:
 
 
 def _stacked_product(a, b):
-    """``a @ b`` for a complex stack of n x n matrices ``a`` and ``b``
-    broadcast against it.
+    """``a @ b`` for a real or complex stack of n x n matrices ``a`` and
+    ``b`` broadcast against it.
 
     For small n and long stacks each entry out[..., i, j] is summed over k
     into one output array, with one temporary the length of the stack;
@@ -170,8 +169,9 @@ def _stacked_product(a, b):
     n = a.shape[-1]
     if n > _SMALL_N or a.size // (n * n) < _ENTRYWISE_STACK * n**3:
         return a @ b
-    out = np.empty(a.shape, dtype=complex)
-    term = np.empty(a.shape[:-2], dtype=complex)
+    dtype = np.result_type(a, b)
+    out = np.empty(a.shape, dtype=dtype)
+    term = np.empty(a.shape[:-2], dtype=dtype)
     for i in range(n):
         for j in range(n):
             entry = out[..., i, j]
@@ -221,7 +221,8 @@ def _sub_propagators(block_at, n, starts, lengths, tol, factor=1.0):
     gives A at the S times ``a_j + r_j s``, shape (S, n, n), and the RHS
     product A U_j goes entry by entry for n <= 3 and long blocks
     (:func:`_stacked_product`).  A stage at the previous stage's s reuses
-    its A block (:func:`_repeat_memo`).
+    its A block (:func:`_repeat_memo`).  The propagators are real when A and
+    ``factor`` are.
     """
     count = starts.size
     span = lengths.max()
@@ -239,7 +240,7 @@ def _sub_propagators(block_at, n, starts, lengths, tol, factor=1.0):
         out *= coef
         return out.reshape(count, n * n)
 
-    y0 = np.tile(np.eye(n, dtype=complex).ravel(), (count, 1))
+    y0 = np.tile(np.eye(n, dtype=np.result_type(factor, float)).ravel(), (count, 1))
     out, stats = integrate_adaptive(rhs, 0.0, y0, [span], rtol=tol.rtol, atol=tol.atol)
     return out[0].reshape(count, n, n), stats
 
@@ -276,10 +277,15 @@ def monodromy(hamiltonian, tol=BASIS_TOL):
 def floquet_decompose(u_period, omega):
     """Quasienergies and t=0 Floquet modes from the monodromy matrix.
 
-    Eigenphases are folded into (-omega/2, omega/2] and sorted; each
-    eigenvector's largest-magnitude component is made real positive so the
-    output is deterministic.  Degenerate quasienergy clusters are
-    re-orthonormalized within their subspace.
+    Eigenphases are folded into (-omega/2, omega/2] and sorted.  The
+    eigenvector matrix is replaced by its polar factor (one SVD), the
+    nearest unitary matrix: an exactly unitary monodromy has orthonormal
+    eigenvectors, so this removes only the eigensolver's loss of
+    orthogonality, and within a degenerate cluster it orthonormalizes the
+    returned basis of the eigenspace.  Each mode's largest-magnitude
+    component is then made real positive so the output is deterministic.
+    A mode that no longer satisfies the eigenvalue equation to 1e-8 marks a
+    defective eigenbasis.
     """
     u_period = np.asarray(u_period, dtype=complex)
     defect = unitarity_defect(u_period)
@@ -292,32 +298,16 @@ def floquet_decompose(u_period, omega):
     eps = brillouin_fold(-np.angle(evals) / period, omega)
     order = np.argsort(eps)
     eps = eps[order]
-    modes = evecs[:, order]
-
-    # Re-orthonormalize clusters of (circularly) degenerate quasienergies.
-    tol = _DEGENERACY_REL_TOL * omega
+    w, _, vh = np.linalg.svd(evecs[:, order])
+    modes = w @ vh
     n = eps.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(brillouin_fold(eps[stop] - eps[stop - 1], omega)) < tol:
-            stop += 1
-        if stop - start > 1:
-            block = modes[:, start:stop]
-            gram_defect = np.max(np.abs(block.conj().T @ block - np.eye(stop - start)))
-            if gram_defect > 1e-12:
-                q, _ = np.linalg.qr(block)
-                modes[:, start:stop] = q
-        start = stop
-
-    modes /= np.linalg.norm(modes, axis=0)
     anchor = np.argmax(np.abs(modes), axis=0)
     phases = modes[anchor, np.arange(n)]
-    modes = modes * (np.abs(phases) / phases)
+    modes *= np.abs(phases) / phases
 
-    residual = np.max(np.abs(modes.conj().T @ modes - np.eye(n)))
+    residual = np.max(np.abs(u_period @ modes - modes * evals[order]))
     if residual > 1e-8:
-        raise ValueError(f"defective eigenbasis, orthonormalization residual {residual:.3e}")
+        raise ValueError(f"defective eigenbasis, eigenvector residual {residual:.3e}")
     return eps, modes
 
 

@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) integration for complex-valued linear ODEs.
+"""Adaptive Dormand-Prince 5(4) integration for real- or complex-valued linear ODEs.
 
 One integrator backs every propagation in the package (monodromy matrices,
 rate-matrix evolution and the direct reference solver) so that timing
@@ -11,6 +11,10 @@ values at output points carry no interpolation error.
 A ``(B, m)`` state is a block of B independent problems stepped together:
 the error norm is the largest row RMS, so every row keeps the per-step
 error control it would have on its own.
+
+A real state stays real: its stages, stage sums and error norm are formed
+in real arithmetic, and a right-hand side that returns complex values for
+it is an error rather than a silent loss of the imaginary part.
 """
 
 from dataclasses import dataclass
@@ -68,12 +72,11 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # Difference between the 5th and embedded 4th order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Complex copies of the rows, so a stage sum's product casts nothing; it is
-# then scaled by h and added to the state in place, with the same rounding
-# as y + h * (row @ k) and no further temporaries.
-_A_C = [row.astype(complex) for row in _A]
-_B5_C = _B5.astype(complex)
-_E_C = _E.astype(complex)
+# The rows in the state's dtype, so a stage sum's product casts nothing; it
+# is then scaled by h and added to the state in place, with the same
+# rounding as y + h * (row @ k) and no further temporaries.
+_ROWS = {dtype: ([row.astype(dtype) for row in _A], _B5.astype(dtype), _E.astype(dtype))
+         for dtype in (np.dtype(float), np.dtype(complex))}
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -84,6 +87,11 @@ def _rms(x):
     """RMS of a vector; for a (B, m) block, the largest row RMS."""
     mean_sq = np.mean(np.abs(x) ** 2, axis=-1)
     return np.sqrt(mean_sq if x.ndim == 1 else mean_sq.max())
+
+
+def _complex_rhs_error():
+    return TypeError("right-hand side returned complex values for a real state; "
+                     "pass a complex y0 to integrate a complex ODE")
 
 
 def _error_norm(err, y0, y1, rtol, atol):
@@ -146,18 +154,19 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
     Parameters
     ----------
     rhs : callable(t, y) -> ndarray
-        Right-hand side; may return complex values.  ``y`` has the shape of
-        ``y0``.
+        Right-hand side.  ``y`` has the shape and dtype of ``y0``; for a real
+        ``y0`` it must return real values (``TypeError`` otherwise).
     y0 : ndarray, shape (m,) or (B, m)
         Initial state, or a block of B states whose step error is the
-        largest row RMS.
+        largest row RMS.  A real state is stepped in real arithmetic, a
+        complex one in complex arithmetic.
     t_out : array_like
         Strictly increasing output times, all >= ``t0``.  The stepper hits
         each one exactly.
 
     Returns
     -------
-    (ndarray of shape (len(t_out), *y0.shape), IntegratorStats)
+    (ndarray of shape (len(t_out), *y0.shape) and the state's dtype, IntegratorStats)
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     if t_out.size == 0:
@@ -167,12 +176,13 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
     if t_out[0] < t0:
         raise ValueError(f"first output time {t_out[0]} precedes start time {t0}")
 
-    y = np.asarray(y0, dtype=complex).copy()
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     if y.ndim not in (1, 2):
         raise ValueError(f"y0 must be 1-D or a 2-D block, got shape {y.shape}")
     t = float(t0)
     stats = IntegratorStats()
-    out = np.empty((t_out.size, *y.shape), dtype=complex)
+    out = np.empty((t_out.size, *y.shape), dtype=y.dtype)
+    rows, b5, e = _ROWS[y.dtype]
 
     i_out = 0
     if t_out[0] == t0:
@@ -181,12 +191,15 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
         if i_out == t_out.size:
             return out, stats
 
+    real = y.dtype.kind == "f"
     f = rhs(t, y)
+    if real and np.iscomplexobj(f):
+        raise _complex_rhs_error()
     stats.rhs_evals += 1
     h = _initial_step(rhs, t, y, f, rtol, atol, max_step)
     stats.rhs_evals += 1
 
-    K = np.empty((7, *y.shape), dtype=complex)
+    K = np.empty((7, *y.shape), dtype=y.dtype)
     flat_k = K.reshape(7, y.size)  # a view, so stage sums are one product
     while i_out < t_out.size:
         t_target = t_out[i_out]
@@ -202,10 +215,16 @@ def integrate_adaptive(rhs, t0, y0, t_out, rtol=1e-8, atol=1e-10,
 
         K[0] = f
         for s in range(1, 7):
-            K[s] = rhs(t + _C[s] * h, _stage_sum(_A_C[s], flat_k[:s], h, y))
+            k = rhs(t + _C[s] * h, _stage_sum(rows[s], flat_k[:s], h, y))
+            # assigning complex values to a real stage would drop their
+            # imaginary part with only a warning
+            if real and np.iscomplexobj(k):
+                raise _complex_rhs_error()
+            K[s] = k
+            del k  # not held past its copy, which would raise the peak memory
         stats.rhs_evals += 6
-        y_new = _stage_sum(_B5_C, flat_k, h, y)
-        err = (_E_C @ flat_k).reshape(y.shape)
+        y_new = _stage_sum(b5, flat_k, h, y)
+        err = (e @ flat_k).reshape(y.shape)
         err *= h
         norm = _error_norm(err, y, y_new, rtol, atol)
 

@@ -11,7 +11,8 @@ rotated frame.  Both generators run through the same one-period map
 integrated and whole periods are jumped, so timing comparisons between the
 two solvers measure the formulation, not the period jump.  Like the rate
 matrix, the generator is formed as an n^2 x n^2 superoperator at an array of
-times, so small systems step slices of the period side by side.
+times, so small systems step slices of the period side by side, and like it,
+it is propagated in real coordinates (``solver._real_projector``).
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ import numpy as np
 # perfbench's tracer wraps lindblad.integrate_adaptive.
 from .integrate import integrate_adaptive  # noqa: F401
 from .qops import unfold
-from .solver import _add_sides, _evolve, _Generator
+from .solver import (_add_sides, _evolve, _Generator, _projection_weights, _real_projector,
+                     _start_coordinates)
 
 __all__ = ["LiouvillianSpec", "evolve_direct"]
 
@@ -50,7 +52,8 @@ class LiouvillianSpec:
 def _liouvillian(spec):
     """Closure t -> L(t), the lab-frame Lindbladian as an n^2 x n^2
     superoperator in column stacking, shape (n^2, n^2) for a scalar t and
-    (*t.shape, n^2, n^2) for an array of times.
+    (n^2, n^2, *t.shape) for an array of times: the times are the trailing
+    axes, as ``solver._real_projector`` takes them.
 
     The dissipator is constant and formed once; each call adds the
     commutator -1j [H(t), .] of one ``hamiltonian(t)`` call, which takes
@@ -64,25 +67,36 @@ def _liouvillian(spec):
         s = ch.operator
         sds = -0.5 * ch.rate * (s.conj().T @ s)
         dissipator += ch.rate * np.kron(s.conj(), s)
-        _add_sides(dissipator, sds[None], sds[None])
+        _add_sides(dissipator[None], sds[None], sds[None])
 
     def at(t):
         h = hamiltonian(t)
-        out = np.empty(h.shape[:-2] + (nn, nn), dtype=complex)
-        out[...] = dissipator
+        lead = h.shape[:-2]
+        out = np.empty((nn, nn) + lead, dtype=complex)
+        out[...] = dissipator.reshape((nn, nn) + (1,) * len(lead))
         h = h.reshape(-1, n, n)
-        _add_sides(out, -1j * h, 1j * h)
+        _add_sides(out.reshape(nn, nn, -1).transpose(2, 0, 1), -1j * h, 1j * h)
         return out
 
     return at
 
 
 def _lab_generator(spec):
-    """The lab-frame Lindbladian as a T-periodic generator: its frame needs
-    no rotation and its supervectors are the lab-frame states."""
+    """The lab-frame Lindbladian as a T-periodic generator, in real
+    coordinates: its frame needs no rotation and its supervectors are the
+    lab-frame states."""
     n = spec.dim
-    return _Generator(matrix=_liouvillian(spec), dim=n, gaps=np.zeros(n * n),
-                      period=spec.hamiltonian.period, max_step=np.inf, start=unfold,
+    liouvillian = _liouvillian(spec)
+    project = _real_projector(n)
+    weights = _projection_weights(n)
+
+    def matrix(t):
+        m = liouvillian(t)
+        return project(m, weights.reshape(weights.shape + (1,) * (m.ndim - 2)))
+
+    return _Generator(matrix=matrix, dim=n,
+                      gaps=np.zeros(n * n), period=spec.hamiltonian.period, max_step=np.inf,
+                      start=lambda rho: _start_coordinates(unfold(rho), rho),
                       to_lab=lambda phases, index, rho: rho.transpose(0, 2, 1, 3))
 
 

@@ -97,7 +97,11 @@ def unitarity_defect(u):
     return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
-def check_density_matrix(rho, trace_tol=1e-9, herm_tol=1e-12):
+# Largest Hermiticity defect of a matrix that is taken to be Hermitian.
+HERM_TOL = 1e-12
+
+
+def check_density_matrix(rho, trace_tol=1e-9, herm_tol=HERM_TOL):
     """Validate and return a density matrix as a complex array.
 
     Raises ``ValueError`` when the trace deviates from one by more than

@@ -17,28 +17,33 @@ the rate superoperator is a sum of 4 k_max + 1 rotated-frame harmonics.  The
 dissipator preserves Hermiticity, so harmonic -m is the conjugate of
 harmonic m at index-transposed positions, and only m = 0 ... 2 k_max are
 stored (see :class:`RateTermSet`).  Evaluating it costs one sum over the
-stored harmonics, one elementwise phase and one mirrored addition,
-independent of how many distinct frequencies delta the kept tuples have;
-that count, ``n_frequency_groups``, is reported for information only.
+stored harmonics and a few elementwise passes, independent of how many
+distinct frequencies delta the kept tuples have; that count,
+``n_frequency_groups``, is reported for information only.
 
 States are propagated in the Floquet interaction picture (time-dependent
 basis of Floquet states), where the coherent evolution is carried entirely
 by the basis: the generator is the pure dissipator, and lab-frame states are
 reconstructed as ``W(t) rho W(t)^dag`` with ``W(t)`` the Floquet state
-matrix.  This makes the closed-system limit exact by construction.  Rotated
-by the quasienergy phases, the generator is exactly T-periodic, so long
-evolutions form the propagators of one period and then jump whole periods,
-by baby-step giant-step powers of the one-period map.  The propagators land
-exactly on each stop; when the outputs have more distinct phases than a
-Chebyshev grid needs, the stops are the grid's nodes only and the phases are
-interpolated from those exact samples, with the Chebyshev tail checked
-against the tolerance.  For n <= 3 the period is cut at the stops into
+matrix.  This makes the closed-system limit exact by construction.  Both
+generators preserve Hermiticity, so they are propagated in real
+coordinates, the coefficients of a state in an orthonormal basis of
+Hermitian matrices: the generator, the states and every one-period map are
+real (see :func:`_coordinates`).  Rotated by the quasienergy phases, a
+rotation of each pair of transposed coordinates, the generator is exactly
+T-periodic, so long evolutions form the propagators of one period and then
+jump whole periods, by baby-step giant-step powers of the one-period map.
+The propagators land exactly on each stop; when the outputs have more
+distinct phases than a Chebyshev grid needs, the stops are the grid's nodes
+only and the phases are interpolated from those exact samples, with the
+Chebyshev tail checked against the tolerance.  For n <= 3 the period is cut at the stops into
 slices that are stepped side by side as one block, so a step costs a few
 large NumPy calls; larger n step the period sequentially.  The direct solver
 (``lindblad``) runs its lab-frame generator through the same one-period map
 (:class:`_Generator`).
 """
 
+import functools
 import time as _time
 from dataclasses import dataclass, field
 from math import isqrt
@@ -49,7 +54,7 @@ from numpy.lib.stride_tricks import as_strided
 from .floquet import (_SMALL_N, _prefix_products, _stacked_product, _sub_propagators,
                       fourier_coefficients)
 from .integrate import IntegratorStats, OdeTol, integrate_adaptive, _repeat_memo
-from .qops import check_density_matrix, hermiticity_defect, unfold
+from .qops import HERM_TOL, check_density_matrix, hermiticity_defect, unfold
 
 __all__ = [
     "CollapseChannel",
@@ -109,7 +114,8 @@ class RateTermSet:
     Hermiticity.  ``harmonics[m]`` therefore holds R~_m for m = 0 ... 2 k_max
     only, shape (2 k_max + 1, n^2, n^2); with B(t) the formula above summed
     over m >= 0 only, harmonic 0 weighted 1/2,
-    R(t)[p, q] = B(t)[p, q] + conj(B(t)[p~, q~]).
+    R(t)[p, q] = B(t)[p, q] + conj(B(t)[p~, q~]), and in the real
+    coordinates of :func:`_coordinates` R(t) is 2 Re(U^dag B(t) U).
 
     This one store serves complete, filtered and static sets alike, and
     evaluating R(t) costs the same however many distinct frequencies the
@@ -150,7 +156,9 @@ class RateTermSet:
         secular = np.abs(freqs) <= _SECULAR_REL_TOL * self.omega
         half = np.sum(self.harmonics[1:], axis=0, where=secular[1:])
         half += 0.5 * np.where(secular[0], self.harmonics[0], 0.0)
-        return _mirror(half.ravel(), _mirror_index(self.dim)).reshape(half.shape)
+        n = self.dim
+        quarter = half.reshape(n, n, n, n)
+        return (quarter + quarter.transpose(1, 0, 3, 2).conj()).reshape(half.shape)
 
 
 def _frequencies(omega, k_max, gaps):
@@ -158,22 +166,6 @@ def _frequencies(omega, k_max, gaps):
     entry, m = 0 ... 2 k_max."""
     m = np.arange(2 * k_max + 1) * omega
     return m[:, None, None] + np.subtract.outer(gaps, gaps)[None]
-
-
-def _mirror_index(n):
-    """Flat position of (p~, q~) for each flat position (p, q) of an
-    (n^2, n^2) superoperator, p~ the transposed supervector index."""
-    return np.arange(n**4).reshape(n, n, n, n).transpose(1, 0, 3, 2).ravel()
-
-
-def _mirror(half, index):
-    """``half + conj(half[p~, q~])`` of flattened superoperators (last
-    axis), with ``index`` from :func:`_mirror_index` (see
-    :class:`RateTermSet`)."""
-    out = half.take(index, axis=-1)
-    np.conjugate(out, out=out)
-    out += half
-    return out
 
 
 def _tuple_table(basis, channel, k_max):
@@ -229,16 +221,17 @@ def _sampled_harmonics(rate, coeffs):
 def _add_sides(store, left, right):
     """Add the superoperator of rho -> A rho + rho B, I (x) A + B^T (x) I in
     column stacking, for every pair of (n, n) matrices A of ``left`` and B
-    of ``right`` (stacks of equal length) to the C-contiguous
-    (size, n^2, n^2) ``store``, in place.
+    of ``right`` (stacks of equal length) to the (size, n^2, n^2) ``store``,
+    in place; ``store`` may be any strided view, such as one with the stack
+    axis last in memory.
 
     Viewed as (size, n, n, n, n) with entry [x, i, k, j, l] at row i*n + k,
     column j*n + l, I (x) A adds A[x, k, l] where i = j and B^T (x) I adds
     B[x, j, i] where k = l: two strided views of those diagonals.
     """
     size, n, _ = left.shape
-    store = store.reshape(size, n, n, n, n)
-    sx, si, sk, sj, sl = store.strides
+    sx, sk, sl = store.strides
+    si, sj = n * sk, n * sl
     diag_left = as_strided(store, (size, n, n, n), (sx, si + sj, sk, sl))
     diag_left += left[:, None]
     diag_right = as_strided(store, (size, n, n, n), (sx, si, sj, sk + sl))
@@ -390,50 +383,200 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     )
 
 
-def _rate_matrix(rates):
-    """Closure t -> R(t), the Floquet-picture rate superoperator, shape
-    (n^2, n^2) for a scalar t and (*t.shape, n^2, n^2) for an array.
+_SQRT_HALF = np.sqrt(0.5)
 
-    One exponential of the concatenated harmonic and gap frequencies gives
-    both the harmonic weights, harmonic 0 weighted 1/2, and the gap phases.
-    The weighted sum of the stored harmonics m >= 0 plus its mirror (see
-    :class:`RateTermSet`) times the gap phases is R(t); the mirror can go
-    first because the phase of (p~, q~) is the conjugate of that of (p, q).
-    An array of times costs the same few NumPy calls as one time.  A static
-    set is constant.
+
+@functools.lru_cache(maxsize=16)
+def _pair_slots(n):
+    """Flat supervector positions of an n x n matrix: the diagonal, and each
+    pair p < p~ of transposed positions as ``(first, second)`` arrays
+    (read-only, as they are shared between calls)."""
+    i0, i1 = np.divmod(np.arange(n * n), n)
+    first = np.flatnonzero(i0 < i1)
+    slots = np.flatnonzero(i0 == i1), first, (first % n) * n + first // n
+    for index in slots:
+        index.setflags(write=False)
+    return slots
+
+
+def _coordinates(v):
+    """Real coordinates r = U^dag v of supervectors v (axis -2).
+
+    U is the orthonormal basis of Hermitian matrices (Alicki and Lendi,
+    *Quantum Dynamical Semigroups and Applications*, LNP 286, 1987): e_p
+    for each diagonal position and, for each pair p < p~ of transposed
+    positions, (e_p + e_p~)/sqrt(2) at position p and i(e_p - e_p~)/sqrt(2)
+    at position p~.  The coordinates of a Hermitian matrix are real:
+    v_p, sqrt(2) Re v_p and sqrt(2) Im v_p.  Returns complex values.
     """
-    nn = rates.dim * rates.dim
+    _, first, second = _pair_slots(isqrt(v.shape[-2]))
+    r = v.astype(complex)
+    a, b = v[..., first, :], v[..., second, :]
+    r[..., first, :] = (a + b) * _SQRT_HALF
+    r[..., second, :] = (b - a) * (1j * _SQRT_HALF)
+    return r
+
+
+def _vectors(r):
+    """Supervectors U r of real (or complex) coordinates r (axis -2), the
+    inverse of :func:`_coordinates`; Hermitian exactly when r is real."""
+    _, first, second = _pair_slots(isqrt(r.shape[-2]))
+    v = r.astype(complex)
+    a, b = r[..., first, :], r[..., second, :]
+    v[..., first, :] = (a + 1j * b) * _SQRT_HALF
+    v[..., second, :] = (a - 1j * b) * _SQRT_HALF
+    return v
+
+
+def _start_coordinates(v, rho):
+    """Coordinates of the supervector v of the matrix rho: real when rho is
+    Hermitian (to ``qops.HERM_TOL``), so a density matrix propagates in
+    real arithmetic, and complex otherwise."""
+    r = _coordinates(v[:, None])[:, 0]
+    return r.real.copy() if hermiticity_defect(rho) <= HERM_TOL else r
+
+
+def _rotate(maps, times, gaps):
+    """Rotate the coordinates ``maps`` (len(times), n^2, B) into the frame
+    v~[p] = exp(-1j*gaps[p]*t) v[p], in place.
+
+    The gap of p~ is minus that of p, so each pair (r_p, r_p~) turns by the
+    angle gaps[p] * t, a real rotation.
+    """
+    _, first, second = _pair_slots(isqrt(maps.shape[1]))
+    angle = np.multiply.outer(times, gaps[first])[..., None]
+    cos, sin = np.cos(angle), np.sin(angle)
+    a, b = maps[:, first], maps[:, second]
+    maps[:, first] = cos * a + sin * b
+    maps[:, second] = cos * b - sin * a
+    return maps
+
+
+def _projection_weights(n):
+    """Column weights (alpha, beta) and row weights gamma of
+    :func:`_real_projector`, shape (3, n, n)."""
+    diag, first, second = _pair_slots(n)
+    weights = np.empty((3, n * n), dtype=complex)
+    weights[:, first] = _SQRT_HALF
+    weights[:2, diag] = 0.5
+    weights[2, diag] = 0.5 + 0.5j
+    weights[0, second] = -1j * _SQRT_HALF
+    weights[1:, second] = 1j * _SQRT_HALF
+    return weights.reshape(3, n, n)
+
+
+def _real_projector(n):
+    """Closure ``project(m, weights)`` = Re(U^dag D^dag m D U) for complex
+    superoperators m in the basis U of :func:`_coordinates`, with D =
+    diag(phi) a diagonal unitary, phi[p~] = conj(phi[p]).
+
+    The times are the trailing axes: m has shape (n^2, n^2, *lead),
+    ``weights`` shape (3, n, n, *lead) and holds
+    alpha * conj(phi), beta * phi and gamma * phi, with the constants of
+    :func:`_projection_weights`; the result has shape (*lead, n^2, n^2).
+    With the times last every elementwise pass runs over them in its
+    innermost loop, which for the many slices of a small system is several
+    times faster than over the n^2 entries of one matrix.  Each column of
+    m U combines columns q and q~ of m, so with X = alpha conj(phi) m +
+    beta phi m[:, q~] and X' its rows scaled by gamma phi, the result is
+    Re X' + Im X'[p~].  The columns q~ are one gather with a precomputed
+    index, cheaper than arithmetic on a view with transposed inner axes;
+    the rows p~ are a view with transposed outer axes.  A multiply by
+    weights that vary along one axis only costs about twice one by a
+    full-size array at n = 8, so the weights are applied as one ratio and
+    one outer product.
+    """
+    shape = (n,) * 4
+    swap = np.arange(n**4).reshape(shape).swapaxes(-1, -2).ravel()
+
+    def project(m, weights):
+        lead = m.shape[2:]
+        cols, cols_swapped, rows = weights
+        # X' = (gamma phi)(alpha conj(phi)) (m + beta phi / (alpha conj(phi)) m[:, q~])
+        x = m.reshape((-1,) + lead).take(swap, axis=0).reshape(shape + lead)
+        x *= cols_swapped / cols
+        x += m.reshape(shape + lead)
+        x *= rows[:, :, None, None] * cols
+        out = np.add(x.real, x.swapaxes(0, 1).imag).reshape((n * n, n * n) + lead)
+        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+
+    return project
+
+
+def _rate_matrix(rates):
+    """Closure t -> A(t), the Floquet-picture rate superoperator R(t) in the
+    real coordinates of :func:`_coordinates`, shape (n^2, n^2) for a scalar
+    t and (*t.shape, n^2, n^2) for an array.
+
+    R(t) = C + mirror(C), with C the harmonics m >= 0 weighted by
+    exp(1j*m*omega*t) (harmonic 0 by 1/2) and by the gap phases
+    exp(1j*(gaps[p] - gaps[q])*t) (see :class:`RateTermSet`), and the mirror
+    maps U^dag C U to its conjugate, so A(t) = Re(U^dag (2C) U).  One
+    exponential of the concatenated harmonic and gap frequencies gives the
+    harmonic weights and the phase-carrying weights of
+    :func:`_real_projector`; the weighted sum of the stored harmonics, up to
+    the last one with a kept entry, is then projected, with no mirrored
+    copy.  An array of times costs the same few NumPy calls as one time,
+    with the times on the trailing axes until the result.  A static set is
+    constant.
+    """
+    n = rates.dim
+    nn = n * n
+    weights = _projection_weights(n)
+    project = _real_projector(n)
     if not rates.deltas.size:
-        static = rates.static_part
+        static = project(rates.static_part, weights)
         return lambda t: np.broadcast_to(static, np.shape(t) + (nn, nn))
+    # Trailing harmonics with no kept entry add nothing, and a filtered set
+    # often keeps only the first few: the sum runs over a leading view.
     size = rates.harmonics.shape[0]
-    harmonics = rates.harmonics.reshape(size, nn * nn)
-    mirror = _mirror_index(rates.dim)
-    ifreq = 1j * np.concatenate((np.arange(size) * rates.omega, -rates.gaps))
+    while size > 1 and not rates.harmonics[size - 1].any():
+        size -= 1
+    harmonics = rates.harmonics[:size].reshape(size, nn * nn)
+    # One exponential per harmonic and per sign of each pair's gap; the
+    # weights of position p carry exp(-+1j*gaps[p]*t), 1 on the diagonal
+    # (the m = 0 entry).
+    diag, first, second = _pair_slots(n)
+    pairs = np.arange(first.size)
+    ifreq = 1j * np.concatenate((np.arange(size) * rates.omega, rates.gaps[first],
+                                 -rates.gaps[first]))
+    plus, minus = np.zeros(nn, dtype=int), np.zeros(nn, dtype=int)
+    plus[first] = minus[second] = size + pairs
+    plus[second] = minus[first] = size + first.size + pairs
+    pick = np.concatenate((np.arange(size), minus, plus, plus))
+    scale = np.concatenate(([1.0], np.full(size - 1, 2.0), weights.ravel()))
+    scale_column = scale[:, None]
 
     def at(t):
-        e = np.exp(np.multiply.outer(t, ifreq))
-        e[..., 0] = 0.5
-        d = e[..., size:]
-        r = _mirror(e[..., :size] @ harmonics, mirror).reshape(e.shape[:-1] + (nn, nn))
-        r *= d.conj()[..., :, None] * d[..., None, :]
-        return r
+        # not np.ndim(t), which costs about 1 us per call
+        if not (isinstance(t, np.ndarray) and t.ndim):
+            e = np.exp(t * ifreq).take(pick)
+            e *= scale
+            return project((e[:size] @ harmonics).reshape(nn, nn),
+                           e[size:].reshape(3, n, n))
+        e = np.exp(np.multiply.outer(ifreq, t.ravel())).take(pick, axis=0)
+        e *= scale_column
+        r = (harmonics.T @ e[:size]).reshape(nn, nn, -1)
+        return project(r, e[size:].reshape(3, n, n, -1)).reshape(t.shape + (nn, nn))
 
     return at
 
 
 @dataclass(frozen=True, eq=False)
 class _Generator:
-    """A T-periodic linear generator dv/dt = A(t) v, as the one-period map
-    of :func:`_propagate` needs it.
+    """A T-periodic, Hermiticity-preserving linear generator dv/dt = A(t) v,
+    as the one-period map of :func:`_propagate` needs it.
 
-    ``matrix(t)`` is A(t), shape (dim^2, dim^2) for a scalar t and
-    (*t.shape, dim^2, dim^2) for an array of times.  The
-    propagator is T-periodic in the frame rotated by ``gaps``:
-    v~[p] = exp(-1j*gaps[p]*t) v[p]; zero gaps leave the frame as it is.
-    ``start`` maps a lab-frame density matrix at t = 0, where both frames
-    agree, to its supervector.  ``to_lab(phases, index, rho)`` maps
-    rotated-frame states rho at the phases ``phases[index]``, shape
+    ``matrix(t)`` is A(t) in the real coordinates of :func:`_coordinates`,
+    a real matrix of shape (dim^2, dim^2) for a scalar t and
+    (*t.shape, dim^2, dim^2) for an array of times.  The propagator is
+    T-periodic in the frame rotated by ``gaps``: v~[p] = exp(-1j*gaps[p]*t)
+    v[p] for the supervector v, a rotation of each pair of coordinates
+    (:func:`_rotate`); zero gaps leave the frame as it is.  ``start`` maps a
+    lab-frame matrix at t = 0, where both frames agree, to its coordinates:
+    real for a Hermitian matrix, complex otherwise
+    (:func:`_start_coordinates`).  ``to_lab(phases, index, rho)`` maps
+    rotated-frame supervectors rho at the phases ``phases[index]``, shape
     (len(index), dim, dim, B) with rho[t, b, a] the (a, b) entry, to
     lab-frame matrices.  ``max_step`` is the absolute step cap used when
     the tolerance sets none.
@@ -464,12 +607,15 @@ def _rate_generator(rates, basis):
         inner = _stacked_product(rho.transpose(0, 3, 2, 1), modes.conj().swapaxes(-1, -2))
         return _stacked_product(np.broadcast_to(modes, inner.shape), inner).transpose(0, 2, 3, 1)
 
+    def start(rho):
+        return _start_coordinates(unfold(modes0.conj().T @ rho @ modes0), rho)
+
     return _Generator(
         matrix=_rate_matrix(rates), dim=basis.dim, gaps=rates.gaps, period=basis.period,
         # A cap of one eighth of a period when oscillating terms exist, so no
         # frequency group is stepped over entirely.
         max_step=basis.period / 8.0 if rates.deltas.size else np.inf,
-        start=lambda rho: unfold(modes0.conj().T @ rho @ modes0), to_lab=to_lab)
+        start=start, to_lab=to_lab)
 
 
 def _split_phases(times, period):
@@ -557,7 +703,7 @@ def _slice_maps(gen, stops, tol, cap):
     the stops.  Returns ``(maps, stats, S)``.
     """
     nn = gen.dim * gen.dim
-    eye = np.eye(nn, dtype=complex)
+    eye = np.eye(nn)
     if stops[-1] == 0.0:
         return eye[None], IntegratorStats(), 0
     bounds = np.concatenate(([0.0], stops[stops > 0.0]))
@@ -571,7 +717,7 @@ def _slice_maps(gen, stops, tol, cap):
     starts = np.repeat(bounds[:-1], parts) + offsets * lengths
     factors, stats = _sub_propagators(gen.matrix, nn, starts, lengths, tol)
     side = isqrt(count - 1) + 1
-    running = np.empty((side * -(-count // side) + 1, nn, nn), dtype=complex)
+    running = np.empty((side * -(-count // side) + 1, nn, nn), dtype=factors.dtype)
     running[0] = eye
     running[1:count + 1] = factors
     running[count + 1:] = eye
@@ -634,30 +780,49 @@ def _integrate_stops(gen, y0, stops, tol):
 
 def _period_powers(pmap, block, periods):
     """``pmap**j @ block`` for each of the increasing ``periods`` j, shape
-    (len(periods), *block.shape).
+    (len(periods), *block.shape), in the dtype of the inputs.
 
     Baby-step giant-step (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
     (1973)): with m = ceil(sqrt(J + 1)), J the last period, the giant steps
     W_q = (P^m)^q block are J/m products, and every period j = q m + r with
     the same r is one stacked product P^r W_q.  The baby powers P^r are
-    formed one at a time, twice: once up to P^m and once while they are
-    applied, so about 4 sqrt(J) products replace J and no stack of powers is
-    held.  P^m is a chain of products, not repeated squaring, whose
-    rounding errors add coherently: at 10^5 periods of an n = 3 Lindbladian
-    the chain is about 15 times closer to the exact powers than the
-    sequential loop, and squaring no closer than that loop.
+    formed one at a time while they are applied, so about 3 sqrt(J)
+    products and the powering of P^m replace J, and no stack of powers is
+    held.
+
+    The giant steps reuse P^m, so its rounding errors add up coherently
+    along the stationary direction, which P does not contract: q = J/m
+    giant steps multiply them by q.  P^m is therefore formed in extended
+    precision (``np.longdouble``) by binary powering and rounded once; its
+    log2(m) squarings amplify the extended roundings by about m, still
+    below one double rounding.  At 10^5 periods of the n = 2 and n = 3
+    Lindbladians of the tests the powers are then closer to exact ones than
+    the period-by-period loop is.  This assumes the 80-bit x87 type of
+    x86-64 Linux, where a 64 x 64 extended product costs about 90 double
+    ones; where ``np.longdouble`` is a software quad (aarch64 Linux) the
+    products are slower still, and where it is double (MSVC, macOS arm64)
+    the squarings carry about m double roundings into P^m.
+
+    The baby products are of n^2 x n^2 matrices and cost about m n^2
+    column products, and P^m is counted as about as much again (at n = 8
+    its extended squarings cost several times that); the period-by-period
+    loop costs J B for B columns.  When 2 m n^2 > J B, m = 1, and the same
+    code is that loop.
     """
-    m = isqrt(int(periods[-1])) + 1
+    last = int(periods[-1])
+    m = isqrt(last) + 1
+    if 2 * m * pmap.shape[0] > last * block.shape[1]:
+        m = 1
+    dtype = np.result_type(pmap, block)
     q, r = np.divmod(periods, m)
-    giants = np.empty((q[-1] + 1,) + block.shape, dtype=complex)
+    giants = np.empty((q[-1] + 1,) + block.shape, dtype=dtype)
     giants[0] = block
     if q[-1]:
-        giant = pmap
-        for _ in range(m - 1):
-            giant = pmap @ giant
+        extended = pmap.astype(np.promote_types(pmap.dtype, np.longdouble))
+        giant = np.linalg.matrix_power(extended, m).astype(pmap.dtype)
         for i in range(1, giants.shape[0]):
             giants[i] = giant @ giants[i - 1]
-    out = np.empty((periods.size,) + block.shape, dtype=complex)
+    out = np.empty((periods.size,) + block.shape, dtype=dtype)
     baby = pmap
     for rem, sel in enumerate(_groups(r)):
         if rem > 1:
@@ -682,10 +847,16 @@ def _propagate(gen, block, times, tol):
     from exact samples at a few nodes; T is a node, so P is always the
     integrated matrix.
 
-    ``block`` has shape (n^2, B) and holds supervectors at t = 0, where both
+    Everything runs in the real coordinates of :func:`_coordinates`: the
+    maps are real, the frame rotation turns pairs of coordinates, and a real
+    block stays real.  A complex block (the coordinates of a non-Hermitian
+    matrix) is propagated by the same real maps.  The lab frame is reached
+    once, through U r, at the end.
+
+    ``block`` has shape (n^2, B) and holds coordinates at t = 0, where both
     frames agree.  Returns ``(lab, images, stats, (nodes, tail, slices))``:
     the lab-frame matrices of each column, shape (len(times), n, n, B), the
-    rotated-frame supervectors, shape (len(times), n^2, B), the integrator
+    rotated-frame coordinates, shape (len(times), n^2, B), the integrator
     statistics of the one-period integration, the Chebyshev node count (0
     for exact stops) and relative tail, and the slice count (0 on the
     sequential side).
@@ -698,16 +869,16 @@ def _propagate(gen, block, times, tol):
     nn = n * n
     periods, phases, index = _split_phases(times, period)
     jumps = periods.max() > 0
-    y0 = np.eye(nn, dtype=complex) if jumps else block
+    y0 = np.eye(nn) if jumps else block
     t_out = np.append(phases, period) if jumps else phases
     flat, stats, nodes, tail, slices = _integrate_stops(gen, y0, t_out, tol)
-    maps = flat.reshape(t_out.size, nn, -1) * np.exp(-1j * np.outer(t_out, gen.gaps))[:, :, None]
+    maps = _rotate(flat.reshape(t_out.size, nn, -1), t_out, gen.gaps)
 
     if jumps:
         needed, slot = np.unique(periods, return_inverse=True)
         powers = _period_powers(maps[-1], block, needed)
         # One product per phase or per period, whichever are fewer.
-        images = np.empty((times.size,) + block.shape, dtype=complex)
+        images = np.empty((times.size,) + block.shape, dtype=powers.dtype)
         if phases.size <= needed.size:
             for p, sel in enumerate(_groups(index)):
                 images[sel] = maps[p] @ powers[slot[sel]]
@@ -717,7 +888,7 @@ def _propagate(gen, block, times, tol):
     else:
         images = maps[index]
 
-    lab = gen.to_lab(phases, index, images.reshape(times.size, n, n, -1))
+    lab = gen.to_lab(phases, index, _vectors(images).reshape(times.size, n, n, -1))
     return lab, images, stats, (nodes, tail, slices)
 
 

@@ -10,11 +10,14 @@ import pytest
 
 from flime import CollapseChannel, FloquetBasis, HarmonicTerm, PeriodicHamiltonian
 from flime.solver import _rate_matrix
+from oracles import hermitian_basis
 
 
 def assemble(rates, t):
-    """The rate superoperator R(t) of a RateTermSet, from the solver's own closure."""
-    return _rate_matrix(rates)(t)
+    """The rate superoperator R(t) of a RateTermSet, from the solver's own
+    closure, taken from its real coordinates back to supervectors: U A U^dag."""
+    u = hermitian_basis(rates.dim)
+    return u @ _rate_matrix(rates)(t) @ u.conj().T
 
 
 def random_hermitian(rng, n, scale=1.0):

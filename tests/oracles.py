@@ -11,8 +11,10 @@ identity on its own, without the package's evaluation of R(t).  The
 Lindblad generator as an explicit
 superoperator (Kronecker products) and in matrix form (:func:`matrix_rhs`),
 full-span stepping and stop-by-stop stepping of one period
-(:func:`sequential_period_maps`) check the direct solver and the one-period
-map, whose small systems step slices of the period side by side.
+(:func:`sequential_stops`) check the direct solver and the one-period
+map, whose small systems step slices of the period side by side.  The
+solver propagates in real coordinates; :func:`hermitian_basis` builds their
+basis as an explicit unitary matrix, entry by entry.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,25 @@ import numpy as np
 from flime import fourier_coefficients, integrate_adaptive
 from flime.qops import unfold
 from flime.solver import _SECULAR_REL_TOL
+
+
+def hermitian_basis(n):
+    """The unitary U whose columns are the real-coordinate basis of the
+    solver: for supervector positions p = i0 * n + i1, e_p on the diagonal
+    (i0 == i1) and, for each pair i0 < i1 with transposed position p~,
+    (e_p + e_p~)/sqrt(2) in column p and i(e_p - e_p~)/sqrt(2) in column p~.
+    Coordinates are r = U^dag v, superoperators U^dag A U."""
+    u = np.zeros((n * n, n * n), dtype=complex)
+    for i0 in range(n):
+        for i1 in range(n):
+            p, pt = i0 * n + i1, i1 * n + i0
+            if i0 == i1:
+                u[p, p] = 1.0
+            elif i0 < i1:
+                u[p, p] = u[pt, p] = np.sqrt(0.5)
+                u[p, pt] = 1j * np.sqrt(0.5)
+                u[pt, pt] = -1j * np.sqrt(0.5)
+    return u
 
 
 def sandwich_superop(x, y):

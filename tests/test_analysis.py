@@ -144,6 +144,24 @@ class TestCorrelation:
         via_rates = correlation_g1((rates, basis), state, sigma_minus, taus, tol=tol)
         assert np.max(np.abs(direct - via_rates)) < 1e-7
 
+    def test_driven_non_hermitian_start_agrees_with_lab_generator(self):
+        # rho S+ is not Hermitian, so both generators propagate complex
+        # coordinates with their real maps
+        omega0 = 2 * np.pi
+        h = build_driven_2ls_full(omega0, omega0, 0.4 * omega0, 0.4 * omega0)
+        channel = CollapseChannel(sigma_minus, 0.3)
+        spec = LiouvillianSpec(h, (channel,))
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=10,
+                            secular_cutoff=np.inf, coeff_floor=0.0)
+        state = pure_state_density([0.6, 0.8j])
+        taus = np.linspace(0.0, 7.3, 151)
+        tol = OdeTol(rtol=1e-10, atol=1e-13)
+        direct = correlation_g1(spec, state, sigma_minus, taus, tol=tol)
+        via_rates = correlation_g1((rates, basis), state, sigma_minus, taus, tol=tol)
+        assert np.max(np.abs(direct.imag)) > 1e-2
+        assert np.max(np.abs(direct - via_rates)) < 1e-7
+
     def test_rejects_unknown_system(self):
         with pytest.raises(TypeError):
             correlation_g1(object(), np.eye(2) / 2, sigma_minus, [0.0, 1.0])

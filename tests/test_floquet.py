@@ -171,6 +171,30 @@ class TestDecompose:
         assert np.array_equal(eps1, eps2)
         assert np.array_equal(m1, m2)
 
+    def test_modes_orthonormal_on_multilevel_systems(self, rng):
+        # the n = 4 and n = 8 systems of the multilevel benchmark, drawn in
+        # the same order from the same seed; the eigensolver's vectors were
+        # orthonormal only to about 1e-11 there
+        for n in (4, 8, 8):
+            h, _ = random_single_harmonic_system(rng, n)
+            _, modes0 = floquet_decompose(monodromy(h), h.omega)
+            assert np.max(np.abs(modes0.conj().T @ modes0 - np.eye(n))) <= 1e-13
+
+    def test_degenerate_quasienergies_keep_eigenvectors(self):
+        # an exactly degenerate pair, for which the eigensolver returns a
+        # far from orthogonal basis of the eigenspace
+        v, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3))
+                            + 1j * np.random.default_rng(6).normal(size=(3, 3)))
+        omega = 2 * np.pi
+        u = v @ np.diag(np.exp(1j * np.array([0.3, 0.3, -1.1]))) @ v.conj().T
+        _, raw = np.linalg.eig(u)
+        assert np.max(np.abs(raw.conj().T @ raw - np.eye(3))) > 1e-2
+        eps, modes = floquet_decompose(u, omega)
+        np.testing.assert_allclose(eps, [-0.3, -0.3, 1.1], rtol=0, atol=1e-12)
+        assert np.max(np.abs(modes.conj().T @ modes - np.eye(3))) <= 1e-13
+        period = 2 * np.pi / omega
+        assert np.max(np.abs(u @ modes - modes * np.exp(-1j * eps * period))) <= 1e-10
+
 
 class TestModeGrid:
     def test_static_modes_are_constant(self):

@@ -114,6 +114,25 @@ class TestValidation:
         tol = OdeTol()
         assert tol.rtol == 1e-8 and tol.atol == 1e-10 and tol.max_step is None
 
+    def test_complex_rhs_on_real_state_rejected(self):
+        # numpy would drop the imaginary part with only a warning
+        with pytest.raises(TypeError, match="complex values for a real state"):
+            integrate_adaptive(lambda t, y: 1j * y, 0.0, np.array([1.0]), [1.0])
+
+        def late(t, y):
+            return 1j * y if t > 0.0 else -y
+
+        with pytest.raises(TypeError, match="complex values for a real state"):
+            integrate_adaptive(late, 0.0, np.ones((2, 3)), [1.0])
+
+    def test_real_state_stays_real(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        t_out = np.linspace(0.0, 10.0, 21)
+        y, _ = integrate_adaptive(lambda t, y: a @ y, 0.0, np.array([1.0, 0.0]), t_out,
+                                  rtol=1e-10, atol=1e-12)
+        assert y.dtype == np.float64
+        assert np.max(np.abs(y[:, 0] - np.cos(t_out))) < 1e-8
+
     def test_step_underflow_reports_time_reached(self):
         def rhs(t, y):
             return np.array([np.nan + 0j]) if t > 0.5 else -y

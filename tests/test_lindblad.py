@@ -67,7 +67,8 @@ class TestLiouvillian:
         at = lindblad_mod._liouvillian(spec)
         times = rng.uniform(0.0, 4.0, 5)
         oracle = np.array([liouvillian_at(spec, t) for t in times])
-        assert np.max(np.abs(at(times) - oracle)) < 1e-13
+        # the times are the trailing axes
+        assert np.max(np.abs(np.moveaxis(at(times), -1, 0) - oracle)) < 1e-13
         for t, ref in zip(times, oracle):
             assert np.max(np.abs(at(float(t)) - ref)) < 1e-13
 

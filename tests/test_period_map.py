@@ -9,6 +9,8 @@ time; the direct oracle (``oracles.direct_full_span``) steps the lab-frame
 master equation over the whole span.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,23 +24,24 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
                    build_terms, compute_basis, correlation_g1, evolve, evolve_direct,
                    pure_state_density, sigma_minus, unfold)
 from flime.integrate import integrate_adaptive
-from flime.qops import trace_distance
+from flime.qops import hermiticity_defect, trace_distance
 from conftest import random_density, random_single_harmonic_system
-from oracles import (direct_full_span, matrix_rhs, sequential_powers,
-                     sequential_stops)
+from oracles import (direct_full_span, full_harmonics, hermitian_basis, matrix_rhs,
+                     sequential_powers, sequential_stops)
 
 TOL = OdeTol(rtol=1e-10, atol=1e-12)
 ORACLE_TOL = OdeTol(rtol=1e-11, atol=1e-13)
 
 
 def _oracle(rates, basis, rho0, times):
-    """Lab-frame states from full-span stepping."""
+    """Lab-frame states from full-span stepping of the real coordinates."""
     n = basis.dim
-    v0 = unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)
+    u = hermitian_basis(n)
+    v0 = (u.conj().T @ unfold(basis.modes0.conj().T @ rho0 @ basis.modes0)).real
     gen = solver_mod._rate_generator(rates, basis)
     vecs, _ = integrate_adaptive(solver_mod._make_rhs(gen), 0.0, v0, times, rtol=ORACLE_TOL.rtol,
                                  atol=ORACLE_TOL.atol, max_step=gen.max_step)
-    rho_f = vecs.reshape(-1, n, n).transpose(0, 2, 1)
+    rho_f = (vecs @ u.T).reshape(-1, n, n).transpose(0, 2, 1)
     w = basis.modes_at_many(times) * np.exp(-1j * np.outer(times, basis.quasienergies))[:, None, :]
     return w @ rho_f @ w.conj().transpose(0, 2, 1)
 
@@ -158,8 +161,8 @@ def test_many_phases_take_few_steps(monkeypatch):
     tol = OdeTol(rtol=1e-9, atol=1e-12)
     taus = np.linspace(0.0, 60.0, 2048)
     state = pure_state_density([0.6, 0.8j])
-    v0 = unfold(basis.modes0.conj().T @ state @ basis.modes0)[:, None]
     gen = solver_mod._rate_generator(rates, basis)
+    v0 = gen.start(state)[:, None]
     _, _, stats, (nodes, tail, _) = solver_mod._propagate(gen, v0, taus, tol)
     # stopping at each of the 2048 phases took at least 2048 steps
     assert stats.steps_accepted < 400
@@ -175,7 +178,7 @@ def test_failed_tail_falls_back_to_exact_stops(monkeypatch):
     tol = OdeTol(rtol=1e-13, atol=1e-15)
     # 101 stops: more than 65 nodes, fewer than the 129 of the next try
     taus = np.linspace(0.0, 6.0, 100)
-    block = np.eye(4, dtype=complex)
+    block = np.eye(4)
     gen = solver_mod._rate_generator(rates, basis)
     lab, images, stats, (nodes, tail, _) = solver_mod._propagate(gen, block, taus, tol)
     assert (nodes, tail) == (0, 0.0)
@@ -224,9 +227,9 @@ def test_sliced_maps_match_sequential_integration(kind, name, stops, monkeypatch
     points = _stops(stops, gen.period)
     if stops == "no-jump-block":
         rng = np.random.default_rng(2)
-        y0 = np.stack([unfold(random_density(rng, gen.dim)) for _ in range(3)], axis=1)
+        y0 = np.stack([gen.start(random_density(rng, gen.dim)) for _ in range(3)], axis=1)
     else:
-        y0 = np.eye(nn, dtype=complex)
+        y0 = np.eye(nn)
     if stops == "exact-fallback":
         _exact_stops(monkeypatch)
     flat, stats, nodes, _, slices = solver_mod._integrate_stops(gen, y0, points, tol)
@@ -242,10 +245,13 @@ def test_sliced_maps_match_sequential_integration(kind, name, stops, monkeypatch
 @pytest.mark.parametrize("kind", ["rates", "lab"])
 def test_one_short_time_takes_at_most_one_slice(kind, fraction):
     gen = _generator(kind, "2ls")
-    block = np.random.default_rng(3).normal(size=(4, 2)) + 0j
+    block = np.random.default_rng(3).normal(size=(4, 2))
     t = fraction * gen.period
     _, images, stats, (_, _, slices) = solver_mod._propagate(gen, block, [t], TOL)
-    ref = sequential_stops(gen, block, [t], TOL)[0] * np.exp(-1j * t * gen.gaps)[:, None]
+    # the frame phase exp(-1j*gaps*t) of the supervectors, in coordinates
+    u = hermitian_basis(2)
+    ref = u.conj().T @ (np.exp(-1j * t * gen.gaps)[:, None]
+                        * (u @ sequential_stops(gen, block, [t], TOL)[0]))
     assert np.max(np.abs(images[0] - ref)) <= 1e-10
     # time 0 is the block itself, with no step taken
     assert slices == (t > 0) and (stats.steps_accepted > 0) == (t > 0)
@@ -263,7 +269,7 @@ def test_four_levels_step_the_period_sequentially(kind):
         gen = lindblad_mod._lab_generator(LiouvillianSpec(h, (channel,)))
     tol = OdeTol(rtol=1e-9, atol=1e-12)
     points = np.arange(9) * (gen.period / 8)
-    y0 = np.eye(16, dtype=complex)
+    y0 = np.eye(16)
     flat, stats, _, _, slices = solver_mod._integrate_stops(gen, y0, points, tol)
     assert slices == 0 and stats.steps_accepted > 0
     np.testing.assert_array_equal(flat.reshape(9, 16, 16), sequential_stops(gen, y0, points, tol))
@@ -272,31 +278,51 @@ def test_four_levels_step_the_period_sequentially(kind):
     assert res.diagnostics.period_slices == 0
 
 
-@pytest.mark.parametrize("name", ["2ls", "n3"])
+# 80-bit on x86-64 Linux; double with MSVC and on macOS arm64
+_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["2ls", "n3", "n4", "n8"])
 def test_period_powers_match_sequential_loop(name):
-    gen = _generator("lab", name)
+    if name in ("n4", "n8"):
+        n = int(name[1])
+        h, channel = random_single_harmonic_system(np.random.default_rng(31), n)
+        gen = lindblad_mod._lab_generator(LiouvillianSpec(h, (channel,)))
+        sparse = np.array([0, 7, 500, 5000]) if n == 4 else np.array([0, 7, 13, 20])
+        columns = 1
+    else:
+        gen = _generator("lab", name)
+        sparse, columns = np.array([0, 7, 10_000, 100_000]), 2
     nn = gen.dim ** 2
     tol = OdeTol(rtol=1e-9, atol=1e-12)
-    flat, *_ = solver_mod._integrate_stops(gen, np.eye(nn, dtype=complex),
-                                           np.array([gen.period]), tol)
+    flat, *_ = solver_mod._integrate_stops(gen, np.eye(nn), np.array([gen.period]), tol)
     pmap = flat.reshape(nn, nn)
-    block = np.random.default_rng(4).normal(size=(nn, 2)) + 0j
-    dense = np.arange(100_001)
-    sparse = np.array([0, 7, 10_000, 100_000])
+    block = np.random.default_rng(4).normal(size=(nn, columns))
+    dense = np.arange(sparse[-1] + 1)
     ours = solver_mod._period_powers(pmap, block, dense)
     np.testing.assert_array_equal(solver_mod._period_powers(pmap, block, sparse), ours[sparse])
     loop = sequential_powers(pmap, block, dense)
     scale = np.max(np.abs(loop))
-    exact = sequential_powers(pmap.astype(np.clongdouble), block.astype(np.clongdouble), sparse)
+    exact = sequential_powers(pmap.astype(np.longdouble), block.astype(np.longdouble), sparse)
     error = np.max(np.abs(ours[sparse] - exact)) / scale
     loop_error = np.max(np.abs(loop[sparse] - exact)) / scale
-    # fewer roundings in sequence than the loop's 10^5: closer to the
-    # extended-precision powers than the loop is
+    if name == "n4":
+        # 5 000 periods of a 16 x 16 map with one column: the baby steps ran
+        assert not np.array_equal(ours, loop)
+        assert np.max(np.abs(ours - loop)) <= 1e-12 * scale
+    elif name == "n8":
+        # 20 periods of a 64 x 64 map: the baby products would cost more
+        # than the loop's, so the powers are that loop
+        np.testing.assert_array_equal(ours, loop)
+    if not _EXTENDED:
+        pytest.skip("np.longdouble is double here, so the powers have no exact reference")
+    # P^m in extended precision, rounded once: closer to the
+    # extended-precision powers than the loop's roundings
     assert error <= min(2e-13, loop_error)
     if name == "2ls":
         assert np.max(np.abs(ours - loop)) <= 1e-12 * scale
-    else:
-        # the loop itself is about 1e-12 from the extended-precision powers
+    elif name == "n3":
+        # the loop itself is about 3e-13 from the extended-precision powers
         assert loop_error > 1e-13
 
 
@@ -414,7 +440,7 @@ def test_max_step_reaches_the_integrator(monkeypatch):
                                                     tol=tol)),
         "evolve_direct": (period, lambda: evolve_direct(spec, rho0, taus, tol=tol)),
         "reference cycle": (period, lambda: ReferencePropagator(spec, tol).cycle(
-            unfold(rho0), 0, taus[:4])),
+            ReferencePropagator(spec, tol).start(rho0), 0, taus[:4])),
         # n = 4 steps the period sequentially
         "evolve_direct n=4": (h4.period, lambda: evolve_direct(
             spec4, random_density(rng, 4), taus, tol=tol)),
@@ -429,3 +455,99 @@ def test_max_step_reaches_the_integrator(monkeypatch):
             assert all(m == cap for _, m in recorded), name
         else:
             assert all(m <= cap * (1.0 + 1e-12) for _, m in recorded), name
+
+
+def _complex_closure(kind, n, cutoff):
+    """A real-coordinate generator and its complex closure t -> A(t) on
+    supervectors: the rate matrix summed from the full harmonic stack
+    (``oracles.full_harmonics``), or the lab-frame Lindbladian."""
+    h, channel = random_single_harmonic_system(np.random.default_rng(31), n)
+    if kind == "lab":
+        spec = LiouvillianSpec(h, (channel,))
+        liouvillian = lindblad_mod._liouvillian(spec)
+        # its times are the trailing axes
+        return (lindblad_mod._lab_generator(spec),
+                lambda t: np.moveaxis(liouvillian(t), (0, 1), (-2, -1)))
+    basis = compute_basis(h)
+    rates = build_terms(basis, [channel], k_max=5, secular_cutoff=cutoff, coeff_floor=0.0)
+    full, freqs = full_harmonics(rates)
+
+    def closure(t):
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(1j * np.multiply.outer(t, freqs))
+        return np.sum(full * phases, axis=t.ndim)
+
+    return solver_mod._rate_generator(rates, basis), closure
+
+
+_GENERATOR_KINDS = [("rates", np.inf), ("rates", 5.0), ("rates", 0.0), ("lab", None)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind, cutoff", _GENERATOR_KINDS,
+                         ids=["complete", "filtered", "static", "lab"])
+def test_generator_matrix_is_real_projection(kind, cutoff, n):
+    gen, closure = _complex_closure(kind, n, cutoff)
+    u = hermitian_basis(n)
+    times = np.random.default_rng(8).uniform(0.0, 3.0 * gen.period, 4)
+    projected = u.conj().T @ closure(times) @ u
+    # a Hermiticity-preserving generator is real in these coordinates
+    assert np.max(np.abs(projected.imag)) <= 1e-13
+    ours = gen.matrix(times)
+    assert ours.dtype == np.float64
+    assert np.max(np.abs(ours - projected.real)) <= 1e-13
+    for t, ref in zip(times, projected.real):
+        one = gen.matrix(float(t))
+        assert one.dtype == np.float64 and np.max(np.abs(one - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_real_coordinates_match_complex_stepping(kind, n):
+    # n = 2 takes the sliced side, n = 4 and 8 the sequential one; the
+    # oracle steps the complex supervectors over the whole span
+    gen, closure = _complex_closure(kind, n, np.inf)
+    tol = OdeTol(rtol=1e-10, atol=1e-12)
+    rho0 = random_density(np.random.default_rng(4), n)
+    block = gen.start(rho0)[:, None]
+    assert block.dtype == np.float64
+    times = np.linspace(0.0, 2.5 * gen.period, 11)
+    _, images, _, (_, _, slices) = solver_mod._propagate(gen, block, times, tol)
+    assert images.dtype == np.float64 and (slices > 0) == (n == 2)
+    u = hermitian_basis(n)
+    oracle = sequential_stops(dataclasses.replace(gen, matrix=closure), u @ block, times, tol)
+    # into the rotated frame of the images
+    oracle *= np.exp(-1j * np.outer(times, gen.gaps))[:, :, None]
+    assert np.max(np.abs(u @ images - oracle)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_evolved_states_are_hermitian(kind):
+    h, channel, rho0, _ = _system("n3")
+    times = np.linspace(0.0, 4.0 * h.period, 23)
+    if kind == "rates":
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
+        res = evolve(rates, basis, rho0, times, tol=TOL)
+    else:
+        res = evolve_direct(LiouvillianSpec(h, (channel,)), rho0, times, tol=TOL)
+    assert hermiticity_defect(res.states) <= 1e-15
+    assert res.diagnostics.max_hermiticity_defect <= 1e-15
+
+
+@pytest.mark.parametrize("empty", [(1, 3, 4, 5), (2, 3, 4, 5, 6)])
+def test_rate_matrix_skips_only_trailing_empty_harmonics(empty):
+    # a filtered set often keeps only the first few harmonics; the sum may
+    # stop after the last one with a kept entry, not before
+    h, channel = random_single_harmonic_system(np.random.default_rng(31), 3)
+    basis = compute_basis(h)
+    rates = build_terms(basis, [channel], k_max=3, secular_cutoff=np.inf, coeff_floor=0.0)
+    store = rates.harmonics.copy()
+    store[list(empty)] = 0.0
+    sparse = dataclasses.replace(rates, harmonics=store)
+    full, freqs = full_harmonics(sparse)
+    u = hermitian_basis(3)
+    at = solver_mod._rate_matrix(sparse)
+    for t in (0.3, 1.7):
+        ref = u.conj().T @ np.sum(full * np.exp(1j * freqs * t), axis=0) @ u
+        assert np.max(np.abs(at(t) - ref.real)) <= 1e-13

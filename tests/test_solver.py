@@ -11,7 +11,7 @@ from flime import (CollapseChannel, FloquetBasis, LiouvillianSpec, OdeTol,
                    trace_distance, unfold)
 from conftest import (assemble, random_density, random_single_harmonic_system,
                       rk4_schrodinger_states, shift_gauge)
-from oracles import (dissipator_bruteforce, enumerate_terms, factored_matrix,
+from oracles import (dissipator_bruteforce, enumerate_terms, factored_matrix, hermitian_basis,
                      full_harmonics, oscillating_terms, term_counts)
 
 
@@ -220,14 +220,15 @@ class TestHalfStore:
     def test_rate_rhs_keeps_the_operator_not_the_product(self, rwa_setup):
         # the rate RHS keeps the last (t, R(t)); a call at a kept t with
         # another block, at a new t and back again must each equal a fresh
-        # evaluation
+        # evaluation (of the real-coordinate matrix the RHS multiplies)
         _, basis, channel = rwa_setup
         rates = build_terms(basis, [channel], k_max=4, secular_cutoff=np.inf, coeff_floor=0.0)
         rhs = solver_mod._make_rhs(solver_mod._rate_generator(rates, basis))
         rng = np.random.default_rng(3)
-        v1, v2 = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        v1, v2 = rng.normal(size=(2, 4, 3))
         for t, v in [(0.37, v1), (0.37, v2), (1.1, v1), (0.37, v2)]:
-            assert np.array_equal(rhs(t, v.ravel()), (assemble(rates, t) @ v).ravel())
+            fresh = solver_mod._rate_matrix(rates)(t)
+            assert np.array_equal(rhs(t, v.ravel()), (fresh @ v).ravel())
 
 
 class TestAssemble:
@@ -347,7 +348,13 @@ class TestEvolve:
         tol = OdeTol(rtol=1e-11, atol=1e-13)
         rates = build_terms(basis, [channel], k_max=6,
                             secular_cutoff=np.inf, coeff_floor=0.0)
-        oracle = factored_matrix(rates, basis)
+        factored = factored_matrix(rates, basis)
+        u = hermitian_basis(2)
+
+        def oracle(t):
+            # the factored R(t) in the solver's real coordinates
+            return (u.conj().T @ factored(t) @ u).real
+
         at = solver_mod._rate_matrix(rates)
         ts = np.array([0.0, 0.37, 2.9])
         # one time, as the sequential side asks, and many, as the slices do
