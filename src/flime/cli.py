@@ -74,6 +74,8 @@ _TOP_KEYS = {
 
 
 def _check_keys(section, allowed, where):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(
@@ -107,9 +109,12 @@ def _number(value, unit, where):
         return float(value)
     if isinstance(value, dict):
         _check_keys(value, {"value", "unit", "lifetime"}, where)
-        if "lifetime" in value:
-            return lifetime_to_rate(float(value["lifetime"]), value.get("unit", "ns"), unit)
-        return angular_frequency(float(value["value"]), value.get("unit", "rad/ns"), unit)
+        try:
+            if "lifetime" in value:
+                return lifetime_to_rate(float(value["lifetime"]), value.get("unit", "ns"), unit)
+            return angular_frequency(float(value["value"]), value.get("unit", "rad/ns"), unit)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: invalid tagged value {value!r}: {exc}") from exc
     raise ConfigError(f"{where} must be a number or a tagged value object")
 
 
@@ -164,6 +169,7 @@ class RunConfig:
 
         unit_raw = raw.get("unit", {})
         _check_keys(unit_raw, {"scale"}, "unit")
+        _check_numbers(unit_raw, "unit", positive=("scale",))
         self.unit = TimeUnit(float(unit_raw.get("scale", DEFAULT_TIME_UNIT.scale)))
 
         system = raw.get("system")
@@ -183,8 +189,9 @@ class RunConfig:
         cutoff = raw.get("secular_cutoff", 0.0)
         if cutoff == "inf":
             cutoff = np.inf
-        if not isinstance(cutoff, (int, float)) or cutoff < 0:
-            raise ConfigError("secular_cutoff must be a nonnegative number or \"inf\"")
+        if not ((_is_real(cutoff) or cutoff == np.inf) and cutoff >= 0):
+            raise ConfigError(
+                f"secular_cutoff must be a nonnegative number or \"inf\", got {cutoff!r}")
         self.secular_cutoff = float(cutoff)
 
         default_samples = 1024 if kind == "pulse_train" else 256
@@ -203,6 +210,7 @@ class RunConfig:
 
         tol_raw = raw.get("tolerances", {})
         _check_keys(tol_raw, {"rtol", "atol", "max_step"}, "tolerances")
+        _check_numbers(tol_raw, "tolerances", positive=("rtol", "atol", "max_step"))
         self.tol = OdeTol(rtol=float(tol_raw.get("rtol", 1e-8)),
                           atol=float(tol_raw.get("atol", 1e-10)),
                           max_step=(float(tol_raw["max_step"])
@@ -338,11 +346,16 @@ def _basis_metadata(basis):
             "unitarity_defect": basis.unitarity_defect}
 
 
+def _rate_system(config, hamiltonian):
+    """The Floquet basis of a run and its rate terms."""
+    basis = compute_basis(hamiltonian, n_samples=config.n_samples)
+    return basis, build_terms(basis, config.channels(), k_max=config.k_max,
+                              secular_cutoff=config.secular_cutoff)
+
+
 def _run_flime(config, hamiltonian, times):
     setup_start = time.perf_counter()
-    basis = compute_basis(hamiltonian, n_samples=config.n_samples)
-    rates = build_terms(basis, config.channels(), k_max=config.k_max,
-                        secular_cutoff=config.secular_cutoff)
+    basis, rates = _rate_system(config, hamiltonian)
     setup_time = time.perf_counter() - setup_start
     result = evolve(rates, basis, config.rho0(), times, tol=config.tol)
     return result, setup_time, basis
@@ -403,9 +416,7 @@ def cmd_ness(config, outdir):
 
     meta = {}
     if config.solver == "flime":
-        basis = compute_basis(hamiltonian, n_samples=config.n_samples)
-        rates = build_terms(basis, config.channels(), k_max=config.k_max,
-                            secular_cutoff=config.secular_cutoff)
+        basis, rates = _rate_system(config, hamiltonian)
         propagator = FlimePropagator(rates, basis, tol=config.tol)
         meta["basis"] = _basis_metadata(basis)
     else:
@@ -442,8 +453,7 @@ def cmd_spectrum(config, outdir):
     # already expressed in its mean-laser frame.
     rotating = config.system_kind == "driven_2ls_rwa"
     hamiltonian = config.hamiltonian(rotating_frame=rotating)
-    channels = config.channels()
-    spec = LiouvillianSpec(hamiltonian, channels)
+    spec = LiouvillianSpec(hamiltonian, config.channels())
 
     gamma = sum(rate for _, rate in config.channel_specs) or 1.0
     tau_max = float(config.spectrum.get("tau_max", 60.0 / gamma))
@@ -453,9 +463,7 @@ def cmd_spectrum(config, outdir):
 
     meta = {}
     if config.solver == "flime":
-        basis = compute_basis(hamiltonian, n_samples=config.n_samples)
-        rates = build_terms(basis, channels, k_max=config.k_max,
-                            secular_cutoff=config.secular_cutoff)
+        basis, rates = _rate_system(config, hamiltonian)
         propagator = FlimePropagator(rates, basis, tol=config.tol)
         system = (rates, basis)
         meta["basis"] = _basis_metadata(basis)

@@ -177,14 +177,11 @@ class PeriodicHamiltonian:
         positive harmonics' phases go through ``exp``; each negative
         partner's phase is their conjugate, which halves the ``exp`` count of
         the table.  This is the pointwise path, which
-        :func:`~flime.floquet.monodromy` uses; :meth:`on_grid` is the FFT
-        path of the mode grid.
+        :func:`~flime.floquet.monodromy` uses on arrays of times;
+        :meth:`on_grid` is the FFT path of the mode grid.  The direct solver
+        does not call it: it stores the harmonics once.
         """
         n = self.dim
-        if isinstance(t, float):
-            # a float time, as every RHS call of the direct solver passes,
-            # skips the array set-up, which would double the call's cost
-            return np.dot(np.exp(1j * t * self._freqs), self._stack).reshape(n, n)
         t = np.asarray(t, dtype=float)
         n_positive = self._freqs.size // 2
         phases = np.empty((*t.shape, self._freqs.size), dtype=complex)

@@ -10,9 +10,10 @@ rotated frame.  Both generators run through the same one-period map
 (``solver._propagate``) with the same adaptive integrator: one period is
 integrated and whole periods are jumped, so timing comparisons between the
 two solvers measure the formulation, not the period jump.  Like the rate
-matrix, the generator is formed as an n^2 x n^2 superoperator at an array of
-times, so small systems step slices of the period side by side, and like it,
-it is propagated in real coordinates (``solver._real_projector``).
+matrix, the generator is stored once as a half-store of its harmonics and
+evaluated by the same closure (``solver._harmonic_matrix``), in real
+coordinates and at an array of times, so small systems step slices of the
+period side by side.
 """
 
 from dataclasses import dataclass
@@ -23,8 +24,7 @@ import numpy as np
 # perfbench's tracer wraps lindblad.integrate_adaptive.
 from .integrate import integrate_adaptive  # noqa: F401
 from .qops import unfold
-from .solver import (_add_sides, _evolve, _Generator, _projection_weights, _real_projector,
-                     _start_coordinates)
+from .solver import _add_sides, _evolve, _Generator, _harmonic_matrix, _start_coordinates
 
 __all__ = ["LiouvillianSpec", "evolve_direct"]
 
@@ -49,53 +49,32 @@ class LiouvillianSpec:
         return self.hamiltonian.dim
 
 
-def _liouvillian(spec):
-    """Closure t -> L(t), the lab-frame Lindbladian as an n^2 x n^2
-    superoperator in column stacking, shape (n^2, n^2) for a scalar t and
-    (n^2, n^2, *t.shape) for an array of times: the times are the trailing
-    axes, as ``solver._real_projector`` takes them.
-
-    The dissipator is constant and formed once; each call adds the
-    commutator -1j [H(t), .] of one ``hamiltonian(t)`` call, which takes
-    arrays, to a copy of it (``solver._add_sides``).
-    """
-    n = spec.dim
-    nn = n * n
-    hamiltonian = spec.hamiltonian
-    dissipator = np.zeros((nn, nn), dtype=complex)
-    for ch in spec.channels:
-        s = ch.operator
-        sds = -0.5 * ch.rate * (s.conj().T @ s)
-        dissipator += ch.rate * np.kron(s.conj(), s)
-        _add_sides(dissipator[None], sds[None], sds[None])
-
-    def at(t):
-        h = hamiltonian(t)
-        lead = h.shape[:-2]
-        out = np.empty((nn, nn) + lead, dtype=complex)
-        out[...] = dissipator.reshape((nn, nn) + (1,) * len(lead))
-        h = h.reshape(-1, n, n)
-        _add_sides(out.reshape(nn, nn, -1).transpose(2, 0, 1), -1j * h, 1j * h)
-        return out
-
-    return at
-
-
 def _lab_generator(spec):
     """The lab-frame Lindbladian as a T-periodic generator, in real
     coordinates: its frame needs no rotation and its supervectors are the
-    lab-frame states."""
+    lab-frame states.
+
+    It is stored once, as the rate matrix is, as a half-store of harmonics
+    (see ``solver._harmonic_matrix``): L_0 = -1j [H_0, .] plus the
+    dissipators and L_k = -1j [H_k, .] for k >= 1, n^2 x n^2 superoperators
+    in column stacking.  H_{-k} = H_k^dag makes L_{-k} the mirror of L_k.
+    Without harmonics the generator is constant.
+    """
     n = spec.dim
-    liouvillian = _liouvillian(spec)
-    project = _real_projector(n)
-    weights = _projection_weights(n)
-
-    def matrix(t):
-        m = liouvillian(t)
-        return project(m, weights.reshape(weights.shape + (1,) * (m.ndim - 2)))
-
-    return _Generator(matrix=matrix, dim=n,
-                      gaps=np.zeros(n * n), period=spec.hamiltonian.period, max_step=np.inf,
+    hamiltonian = spec.hamiltonian
+    top = max((abs(term.harmonic) for term in hamiltonian.terms), default=0)
+    coherent = np.array([hamiltonian.harmonic_matrix(k) for k in range(top + 1)])
+    coherent[0] += hamiltonian.static_part
+    harmonics = np.zeros((top + 1, n * n, n * n), dtype=complex)
+    for ch in spec.channels:
+        s = ch.operator
+        sds = -0.5 * ch.rate * (s.conj().T @ s)
+        harmonics[0] += ch.rate * np.kron(s.conj(), s)
+        _add_sides(harmonics[:1], sds[None], sds[None])
+    _add_sides(harmonics, -1j * coherent, 1j * coherent)
+    gaps = np.zeros(n * n)
+    return _Generator(matrix=_harmonic_matrix(harmonics, hamiltonian.omega, gaps, top == 0),
+                      dim=n, gaps=gaps, period=hamiltonian.period, max_step=np.inf,
                       start=lambda rho: _start_coordinates(unfold(rho), rho),
                       to_lab=lambda phases, index, rho: rho.transpose(0, 2, 1, 3))
 

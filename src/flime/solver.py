@@ -39,8 +39,9 @@ only and the phases are interpolated from those exact samples, with the
 Chebyshev tail checked against the tolerance.  For n <= 3 the period is cut at the stops into
 slices that are stepped side by side as one block, so a step costs a few
 large NumPy calls; larger n step the period sequentially.  The direct solver
-(``lindblad``) runs its lab-frame generator through the same one-period map
-(:class:`_Generator`).
+(``lindblad``) stores its lab-frame generator as the same kind of half-store
+of harmonics, evaluated by the same closure (:func:`_harmonic_matrix`), and
+runs it through the same one-period map (:class:`_Generator`).
 """
 
 import functools
@@ -144,28 +145,6 @@ class RateTermSet:
     @property
     def n_frequency_groups(self):
         return self.deltas.size
-
-    @property
-    def static_part(self):
-        """The secular (delta = 0) part of R(t), a constant superoperator.
-
-        A secular entry's mirror is secular too, so this is the half sum of
-        the secular entries plus its mirror.
-        """
-        freqs = _frequencies(self.omega, self.k_max, self.gaps)
-        secular = np.abs(freqs) <= _SECULAR_REL_TOL * self.omega
-        half = np.sum(self.harmonics[1:], axis=0, where=secular[1:])
-        half += 0.5 * np.where(secular[0], self.harmonics[0], 0.0)
-        n = self.dim
-        quarter = half.reshape(n, n, n, n)
-        return (quarter + quarter.transpose(1, 0, 3, 2).conj()).reshape(half.shape)
-
-
-def _frequencies(omega, k_max, gaps):
-    """Frequency m * omega + gaps[p] - gaps[q] of every stored harmonic
-    entry, m = 0 ... 2 k_max."""
-    m = np.arange(2 * k_max + 1) * omega
-    return m[:, None, None] + np.subtract.outer(gaps, gaps)[None]
 
 
 def _tuple_table(basis, channel, k_max):
@@ -364,10 +343,11 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     anti = -0.5 * anti.reshape(size, n, n)
     _add_sides(harmonics, anti, anti)
 
-    # The oscillating frequencies are symmetric under the mirror, which
-    # negates them: cluster the positive ones, |f| at m > 0 and f at m = 0,
-    # and mirror the groups.
-    freqs = _frequencies(omega, k_max, gaps).reshape(size, -1)
+    # The frequency m * omega + gaps[p] - gaps[q] of each entry.  Those of the
+    # oscillating entries are symmetric under the mirror, which negates them:
+    # cluster the positive ones, |f| at m > 0 and f at m = 0, and mirror the
+    # groups.
+    freqs = (np.arange(size) * omega)[:, None] + np.subtract.outer(gaps, gaps).ravel()
     oscillates = oscillates.reshape(size, -1)
     positive = np.abs(freqs[1:][oscillates[1:]])
     zeroth = freqs[0][oscillates[0]]
@@ -452,94 +432,56 @@ def _rotate(maps, times, gaps):
     return maps
 
 
-def _projection_weights(n):
-    """Column weights (alpha, beta) and row weights gamma of
-    :func:`_real_projector`, shape (3, n, n)."""
+def _harmonic_matrix(harmonics, omega, gaps, constant):
+    """Closure t -> A(t), a generator stored as a half-store of harmonics,
+    in the real coordinates of :func:`_coordinates`: shape (n^2, n^2) for a
+    scalar t and (*t.shape, n^2, n^2) for an array.
+
+    ``harmonics`` holds the harmonics m = 0 ... M, shape (M + 1, n^2, n^2);
+    entry (p, q) of harmonic m oscillates at m * omega + gaps[p] - gaps[q],
+    and harmonic -m is the mirror of harmonic m, its conjugate at the
+    transposed positions (p~, q~), as for any Hermiticity-preserving
+    generator (see :class:`RateTermSet`).  So the generator is
+    C + mirror(C), with C the harmonics weighted by exp(1j*m*omega*t)
+    (harmonic 0 by 1/2 more) and by the gap phases
+    exp(1j*(gaps[p] - gaps[q])*t), and as the mirror maps U^dag C U to its
+    conjugate, A(t) = Re(U^dag (2C) U).  A ``constant`` generator, whose
+    every entry has frequency 0, is A(0) at all t.
+
+    One exponential of the harmonic and gap frequencies gives every weight.
+    The weighted sum of the harmonics, up to the last nonzero one, is
+    projected with no mirrored copy and with the times on the trailing axes,
+    so that for the many slices of a small system each elementwise pass runs
+    over them in its innermost loop.  The projection Re(U^dag D^dag m D U),
+    D = diag(phi) the gap phases, phi[p~] = conj(phi[p]), combines columns q
+    and q~ of m: with X = alpha conj(phi) m + beta phi m[:, q~] and X' its
+    rows scaled by gamma phi (alpha, beta and gamma the entries of U), it is
+    Re X' + Im X'[p~].  The columns q~ are one gather with a precomputed
+    index and the rows p~ a view; the weights are applied as one ratio and
+    one outer product, as a multiply by weights that vary along one axis
+    only costs about twice one by a full-size array.
+    """
+    nn = harmonics.shape[1]
+    n = isqrt(nn)
+    shape = (n,) * 4
+    swap = np.arange(nn * nn).reshape(shape).swapaxes(-1, -2).ravel()
+    # alpha, beta and gamma of each position
     diag, first, second = _pair_slots(n)
-    weights = np.empty((3, n * n), dtype=complex)
+    weights = np.empty((3, nn), dtype=complex)
     weights[:, first] = _SQRT_HALF
     weights[:2, diag] = 0.5
     weights[2, diag] = 0.5 + 0.5j
     weights[0, second] = -1j * _SQRT_HALF
     weights[1:, second] = 1j * _SQRT_HALF
-    return weights.reshape(3, n, n)
-
-
-def _real_projector(n):
-    """Closure ``project(m, weights)`` = Re(U^dag D^dag m D U) for complex
-    superoperators m in the basis U of :func:`_coordinates`, with D =
-    diag(phi) a diagonal unitary, phi[p~] = conj(phi[p]).
-
-    The times are the trailing axes: m has shape (n^2, n^2, *lead),
-    ``weights`` shape (3, n, n, *lead) and holds
-    alpha * conj(phi), beta * phi and gamma * phi, with the constants of
-    :func:`_projection_weights`; the result has shape (*lead, n^2, n^2).
-    With the times last every elementwise pass runs over them in its
-    innermost loop, which for the many slices of a small system is several
-    times faster than over the n^2 entries of one matrix.  Each column of
-    m U combines columns q and q~ of m, so with X = alpha conj(phi) m +
-    beta phi m[:, q~] and X' its rows scaled by gamma phi, the result is
-    Re X' + Im X'[p~].  The columns q~ are one gather with a precomputed
-    index, cheaper than arithmetic on a view with transposed inner axes;
-    the rows p~ are a view with transposed outer axes.  A multiply by
-    weights that vary along one axis only costs about twice one by a
-    full-size array at n = 8, so the weights are applied as one ratio and
-    one outer product.
-    """
-    shape = (n,) * 4
-    swap = np.arange(n**4).reshape(shape).swapaxes(-1, -2).ravel()
-
-    def project(m, weights):
-        lead = m.shape[2:]
-        cols, cols_swapped, rows = weights
-        # X' = (gamma phi)(alpha conj(phi)) (m + beta phi / (alpha conj(phi)) m[:, q~])
-        x = m.reshape((-1,) + lead).take(swap, axis=0).reshape(shape + lead)
-        x *= cols_swapped / cols
-        x += m.reshape(shape + lead)
-        x *= rows[:, :, None, None] * cols
-        out = np.add(x.real, x.swapaxes(0, 1).imag).reshape((n * n, n * n) + lead)
-        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
-
-    return project
-
-
-def _rate_matrix(rates):
-    """Closure t -> A(t), the Floquet-picture rate superoperator R(t) in the
-    real coordinates of :func:`_coordinates`, shape (n^2, n^2) for a scalar
-    t and (*t.shape, n^2, n^2) for an array.
-
-    R(t) = C + mirror(C), with C the harmonics m >= 0 weighted by
-    exp(1j*m*omega*t) (harmonic 0 by 1/2) and by the gap phases
-    exp(1j*(gaps[p] - gaps[q])*t) (see :class:`RateTermSet`), and the mirror
-    maps U^dag C U to its conjugate, so A(t) = Re(U^dag (2C) U).  One
-    exponential of the concatenated harmonic and gap frequencies gives the
-    harmonic weights and the phase-carrying weights of
-    :func:`_real_projector`; the weighted sum of the stored harmonics, up to
-    the last one with a kept entry, is then projected, with no mirrored
-    copy.  An array of times costs the same few NumPy calls as one time,
-    with the times on the trailing axes until the result.  A static set is
-    constant.
-    """
-    n = rates.dim
-    nn = n * n
-    weights = _projection_weights(n)
-    project = _real_projector(n)
-    if not rates.deltas.size:
-        static = project(rates.static_part, weights)
-        return lambda t: np.broadcast_to(static, np.shape(t) + (nn, nn))
-    # Trailing harmonics with no kept entry add nothing, and a filtered set
-    # often keeps only the first few: the sum runs over a leading view.
-    size = rates.harmonics.shape[0]
-    while size > 1 and not rates.harmonics[size - 1].any():
+    size = harmonics.shape[0]
+    while size > 1 and not harmonics[size - 1].any():
         size -= 1
-    harmonics = rates.harmonics[:size].reshape(size, nn * nn)
+    flat = harmonics[:size].reshape(size, nn * nn)
     # One exponential per harmonic and per sign of each pair's gap; the
     # weights of position p carry exp(-+1j*gaps[p]*t), 1 on the diagonal
     # (the m = 0 entry).
-    diag, first, second = _pair_slots(n)
     pairs = np.arange(first.size)
-    ifreq = 1j * np.concatenate((np.arange(size) * rates.omega, rates.gaps[first],
-                                 -rates.gaps[first]))
+    ifreq = 1j * np.concatenate((np.arange(size) * omega, gaps[first], -gaps[first]))
     plus, minus = np.zeros(nn, dtype=int), np.zeros(nn, dtype=int)
     plus[first] = minus[second] = size + pairs
     plus[second] = minus[first] = size + first.size + pairs
@@ -547,19 +489,40 @@ def _rate_matrix(rates):
     scale = np.concatenate(([1.0], np.full(size - 1, 2.0), weights.ravel()))
     scale_column = scale[:, None]
 
+    def project(m, phased):
+        # m (n^2, n^2, *lead), phased (3, n, n, *lead): X' = (gamma phi)
+        # (alpha conj(phi)) (m + beta phi / (alpha conj(phi)) m[:, q~])
+        lead = m.shape[2:]
+        cols, cols_swapped, rows = phased
+        x = m.reshape((-1,) + lead).take(swap, axis=0).reshape(shape + lead)
+        x *= cols_swapped / cols
+        x += m.reshape(shape + lead)
+        x *= rows[:, :, None, None] * cols
+        out = np.add(x.real, x.swapaxes(0, 1).imag).reshape((nn, nn) + lead)
+        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+
     def at(t):
         # not np.ndim(t), which costs about 1 us per call
         if not (isinstance(t, np.ndarray) and t.ndim):
             e = np.exp(t * ifreq).take(pick)
             e *= scale
-            return project((e[:size] @ harmonics).reshape(nn, nn),
-                           e[size:].reshape(3, n, n))
+            return project((e[:size] @ flat).reshape(nn, nn), e[size:].reshape(3, n, n))
         e = np.exp(np.multiply.outer(ifreq, t.ravel())).take(pick, axis=0)
         e *= scale_column
-        r = (harmonics.T @ e[:size]).reshape(nn, nn, -1)
+        r = (flat.T @ e[:size]).reshape(nn, nn, -1)
         return project(r, e[size:].reshape(3, n, n, -1)).reshape(t.shape + (nn, nn))
 
+    if constant:
+        static = at(0.0)
+        return lambda t: np.broadcast_to(static, np.shape(t) + (nn, nn))
     return at
+
+
+def _rate_matrix(rates):
+    """The Floquet-picture rate matrix R(t) of ``rates`` as a closure
+    t -> A(t) (:func:`_harmonic_matrix`); a set that keeps no oscillating
+    tuple is constant."""
+    return _harmonic_matrix(rates.harmonics, rates.omega, rates.gaps, not rates.kept_oscillating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,7 +577,7 @@ def _rate_generator(rates, basis):
         matrix=_rate_matrix(rates), dim=basis.dim, gaps=rates.gaps, period=basis.period,
         # A cap of one eighth of a period when oscillating terms exist, so no
         # frequency group is stepped over entirely.
-        max_step=basis.period / 8.0 if rates.deltas.size else np.inf,
+        max_step=basis.period / 8.0 if rates.kept_oscillating else np.inf,
         start=start, to_lab=to_lab)
 
 

@@ -56,28 +56,27 @@ def rk4_matrix_propagator(hamiltonian, t_end, n_steps, t_start=0.0):
     return rk4_matrix_samples(hamiltonian, t_end, n_steps, n_steps, t_start)[-1]
 
 
+def _rk4_steps(hamiltonian, y, t_start, dt, n_steps):
+    """Yield y after each of ``n_steps`` fixed RK4 steps of
+    dy/dt = -1j H(t) y from ``t_start``; H is evaluated at every stage time
+    in one call."""
+    gen = -1j * hamiltonian(t_start + np.arange(2 * n_steps + 1) * (dt / 2))
+    for j in range(0, 2 * n_steps, 2):
+        k1 = gen[j] @ y
+        k2 = gen[j + 1] @ (y + dt / 2 * k1)
+        k3 = gen[j + 1] @ (y + dt / 2 * k2)
+        k4 = gen[j + 2] @ (y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield y
+
+
 def rk4_matrix_samples(hamiltonian, t_end, n_steps, every, t_start=0.0):
     """U(t_start + j * every * dt) for j = 0 .. n_steps // every from one
     fixed-step RK4 pass with dt = (t_end - t_start) / n_steps (oracle)."""
-    n = hamiltonian.dim
-    u = np.eye(n, dtype=complex)
+    u = np.eye(hamiltonian.dim, dtype=complex)
     dt = (t_end - t_start) / n_steps
-    t = t_start
-    samples = [u]
-
-    def f(t, u):
-        return -1j * hamiltonian(t) @ u
-
-    for step in range(1, n_steps + 1):
-        k1 = f(t, u)
-        k2 = f(t + dt / 2, u + dt / 2 * k1)
-        k3 = f(t + dt / 2, u + dt / 2 * k2)
-        k4 = f(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        if step % every == 0:
-            samples.append(u)
-    return np.array(samples)
+    steps = _rk4_steps(hamiltonian, u, t_start, dt, n_steps)
+    return np.array([u] + [u for step, u in enumerate(steps, 1) if step % every == 0])
 
 
 def rk4_schrodinger_states(hamiltonian, psi0, times, steps_per_unit=8192):
@@ -90,19 +89,7 @@ def rk4_schrodinger_states(hamiltonian, psi0, times, steps_per_unit=8192):
     for t in times:
         if t > t_prev:
             n_steps = max(1, int(np.ceil((t - t_prev) / period * steps_per_unit)))
-            dt = (t - t_prev) / n_steps
-            tt = t_prev
-
-            def f(tt, p):
-                return -1j * hamiltonian(tt) @ p
-
-            for _ in range(n_steps):
-                k1 = f(tt, psi)
-                k2 = f(tt + dt / 2, psi + dt / 2 * k1)
-                k3 = f(tt + dt / 2, psi + dt / 2 * k2)
-                k4 = f(tt + dt, psi + dt * k3)
-                psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                tt += dt
+            *_, psi = _rk4_steps(hamiltonian, psi, t_prev, (t - t_prev) / n_steps, n_steps)
         out.append(np.outer(psi, psi.conj()))
         t_prev = t
     return np.array(out)

@@ -157,6 +157,13 @@ def full_harmonics(rates):
     return full, freqs
 
 
+def static_part(rates):
+    """The secular (delta = 0) part of R(t) of a rate set, a constant
+    superoperator: the entries of the full harmonic stack at frequency 0."""
+    full, freqs = full_harmonics(rates)
+    return np.sum(full, axis=0, where=np.abs(freqs) <= _SECULAR_REL_TOL * rates.omega)
+
+
 def oscillating_terms(rates):
     """Yield ``(delta, superoperator)`` for each frequency group of a rate set:
     the oscillating harmonic-store entries whose frequency is nearest delta."""

@@ -53,6 +53,7 @@ def test_all_is_the_public_set_and_resolves():
     (floquet.FourierOperator, "coeff"),
     (floquet.FourierOperator, "element_at"),
     (solver, "assemble"),
+    (solver.RateTermSet, "static_part"),
     (qops, "sandwich_superop"),
     (solver.EvolutionResult, "floquet_states"),
     (hamiltonians.TimeUnit, "label"),

@@ -184,6 +184,32 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "evolve_flime.csv").exists()
 
+    @pytest.mark.parametrize("path, value, key", [
+        (("tolerances", "atol"), 0, "tolerances.atol"),
+        (("tolerances", "rtol"), "tight", "tolerances.rtol"),
+        (("tolerances", "max_step"), -0.1, "tolerances.max_step"),
+        (("unit", "scale"), 0, "unit.scale"),
+        (("unit",), 5, "unit"),
+        (("channels", 0), 3, "channels[0]"),
+        (("channels", 0, "rate"), {"value": 1, "unit": "MHz"}, "channels[0].rate"),
+        (("channels", 0, "rate"), {"lifetime": -1}, "channels[0].rate"),
+        (("channels", 0, "rate"), {"unit": "GHz"}, "channels[0].rate"),
+        (("system", "omega"), {"value": 1, "unit": "MHz"}, "system.omega"),
+        (("secular_cutoff",), True, "secular_cutoff"),
+        (("secular_cutoff",), "all", "secular_cutoff"),
+    ])
+    def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, capsys, path, value,
+                                                        key):
+        config = _base_config()
+        node = config
+        for part in path[:-1]:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
+        node[path[-1]] = value
+        cfg = _write_config(tmp_path, config)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "evolve_flime.csv").exists()
+
     def test_seed_key_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _base_config(seed=0))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2

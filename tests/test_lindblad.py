@@ -3,13 +3,35 @@ import pytest
 import scipy.linalg
 
 import flime.lindblad as lindblad_mod
-from flime import (CollapseChannel, LiouvillianSpec, OdeTol, PeriodicHamiltonian,
-                   build_driven_2ls_full, build_rotating_frame_2ls, build_terms,
-                   compute_basis, evolve, evolve_direct, fold,
+from flime import (CollapseChannel, HarmonicTerm, LiouvillianSpec, OdeTol, PeriodicHamiltonian,
+                   build_driven_2ls_full, build_pulse_train, build_rotating_frame_2ls,
+                   build_terms, compute_basis, evolve, evolve_direct, fold,
                    pure_state_density, sigma_minus, trace_distance, unfold)
-from conftest import (random_density, random_single_harmonic_system,
+from conftest import (random_density, random_hermitian, random_single_harmonic_system,
                       rk4_schrodinger_states)
-from oracles import liouvillian_at, matrix_rhs
+from oracles import hermitian_basis, liouvillian_at, matrix_rhs
+
+
+def _lab_spec(rng, system):
+    """A LiouvillianSpec: a random single-harmonic system of dimension
+    ``system``, a 40-harmonic pulse train, a system whose only harmonics are
+    k = +-3, one with a harmonic term at k = 0, or one with no harmonics."""
+    if system == "pulse_train":
+        h = build_pulse_train(0.4, 1.0, n_harmonics=40)
+        return LiouvillianSpec(h, (CollapseChannel(sigma_minus, 0.2),))
+    if system == "no_harmonics":
+        h = build_rotating_frame_2ls(0.2, 0.9, 2.0)
+        return LiouvillianSpec(h, (CollapseChannel(sigma_minus, 0.3),))
+    n = system if isinstance(system, int) else 3
+    h, channel = random_single_harmonic_system(rng, n)
+    if system == "harmonics_3":
+        drive = h.harmonic_matrix(1)
+        h = PeriodicHamiltonian(h.omega, h.static_part, (
+            HarmonicTerm(drive, +3, 1.0), HarmonicTerm(drive.conj().T, -3, 1.0)))
+    elif system == "harmonic_0":
+        h = PeriodicHamiltonian(h.omega, h.static_part, h.terms + (
+            HarmonicTerm(random_hermitian(rng, n), 0, 0.7),))
+    return LiouvillianSpec(h, (channel, CollapseChannel(np.eye(n), 0.0)))
 
 
 class TestLiouvillian:
@@ -59,18 +81,19 @@ class TestLiouvillian:
             v = unfold(random_density(rng, 2))
             assert np.max(np.abs(rhs(t, v) - liouvillian_at(spec, t) @ v)) < 1e-13
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_generator_matrix_matches_kronecker_oracle(self, rng, n):
+    @pytest.mark.parametrize("system", [2, 3, 4, "pulse_train", "harmonics_3", "harmonic_0",
+                                        "no_harmonics"])
+    def test_generator_matrix_matches_kronecker_oracle(self, rng, system):
+        # the stored harmonics against H(t) at each time, in real coordinates;
         # one time, as the sequential side asks, and many, as the slices do
-        h, channel = random_single_harmonic_system(rng, n)
-        spec = LiouvillianSpec(h, (channel, CollapseChannel(np.eye(n), 0.0)))
-        at = lindblad_mod._liouvillian(spec)
+        spec = _lab_spec(rng, system)
+        u = hermitian_basis(spec.dim)
+        matrix = lindblad_mod._lab_generator(spec).matrix
         times = rng.uniform(0.0, 4.0, 5)
-        oracle = np.array([liouvillian_at(spec, t) for t in times])
-        # the times are the trailing axes
-        assert np.max(np.abs(np.moveaxis(at(times), -1, 0) - oracle)) < 1e-13
+        oracle = np.array([(u.conj().T @ liouvillian_at(spec, t) @ u).real for t in times])
+        assert np.max(np.abs(matrix(times) - oracle)) < 1e-13
         for t, ref in zip(times, oracle):
-            assert np.max(np.abs(at(float(t)) - ref)) < 1e-13
+            assert np.max(np.abs(matrix(float(t)) - ref)) < 1e-13
 
     def test_dimension_mismatch_rejected(self):
         h = PeriodicHamiltonian(1.0, np.zeros((2, 2)))

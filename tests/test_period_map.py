@@ -26,8 +26,8 @@ from flime import (CollapseChannel, FlimePropagator, LiouvillianSpec, OdeTol,
 from flime.integrate import integrate_adaptive
 from flime.qops import hermiticity_defect, trace_distance
 from conftest import random_density, random_single_harmonic_system
-from oracles import (direct_full_span, full_harmonics, hermitian_basis, matrix_rhs,
-                     sequential_powers, sequential_stops)
+from oracles import (direct_full_span, full_harmonics, hermitian_basis, liouvillian_at,
+                     matrix_rhs, sequential_powers, sequential_stops)
 
 TOL = OdeTol(rtol=1e-10, atol=1e-12)
 ORACLE_TOL = OdeTol(rtol=1e-11, atol=1e-13)
@@ -460,14 +460,18 @@ def test_max_step_reaches_the_integrator(monkeypatch):
 def _complex_closure(kind, n, cutoff):
     """A real-coordinate generator and its complex closure t -> A(t) on
     supervectors: the rate matrix summed from the full harmonic stack
-    (``oracles.full_harmonics``), or the lab-frame Lindbladian."""
+    (``oracles.full_harmonics``), or the lab-frame Lindbladian from
+    Kronecker products of H(t) (``oracles.liouvillian_at``)."""
     h, channel = random_single_harmonic_system(np.random.default_rng(31), n)
     if kind == "lab":
         spec = LiouvillianSpec(h, (channel,))
-        liouvillian = lindblad_mod._liouvillian(spec)
-        # its times are the trailing axes
-        return (lindblad_mod._lab_generator(spec),
-                lambda t: np.moveaxis(liouvillian(t), (0, 1), (-2, -1)))
+
+        def lab_closure(t):
+            t = np.asarray(t, dtype=float)
+            stack = [liouvillian_at(spec, x) for x in t.ravel()]
+            return np.array(stack).reshape(t.shape + (n * n, n * n))
+
+        return lindblad_mod._lab_generator(spec), lab_closure
     basis = compute_basis(h)
     rates = build_terms(basis, [channel], k_max=5, secular_cutoff=cutoff, coeff_floor=0.0)
     full, freqs = full_harmonics(rates)
