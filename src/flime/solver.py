@@ -15,11 +15,12 @@ Whatever the cutoff, the kept tuples live in one store: in the frame rotated
 by the quasienergy gaps every tuple oscillates at (k - k') * omega only, so
 the rate superoperator is a sum of 4 k_max + 1 rotated-frame harmonics.  The
 dissipator preserves Hermiticity, so harmonic -m is the conjugate of
-harmonic m at index-transposed positions, and only m = 0 ... 2 k_max are
-stored (see :class:`RateTermSet`).  Evaluating it costs one sum over the
-stored harmonics and a few elementwise passes, independent of how many
-distinct frequencies delta the kept tuples have; that count,
-``n_frequency_groups``, is reported for information only.
+harmonic m at index-transposed positions, and only m = 0 ... M are stored,
+M <= 2 k_max the last harmonic with a kept entry (see :class:`RateTermSet`).
+Evaluating it costs one real product with the projected store and two
+complex multiplies, independent of how many distinct frequencies delta the
+kept tuples have; that count, ``n_frequency_groups``, is reported for
+information only.
 
 States are propagated in the Floquet interaction picture (time-dependent
 basis of Floquet states), where the coherent evolution is carried entirely
@@ -29,19 +30,20 @@ matrix.  This makes the closed-system limit exact by construction.  Both
 generators preserve Hermiticity, so they are propagated in real
 coordinates, the coefficients of a state in an orthonormal basis of
 Hermitian matrices: the generator, the states and every one-period map are
-real (see :func:`_coordinates`).  Rotated by the quasienergy phases, a
-rotation of each pair of transposed coordinates, the generator is exactly
+real (see :func:`_coordinates`).  Rotated by the quasienergy phases, one
+complex multiply of each pair of coordinates, the generator is exactly
 T-periodic, so long evolutions form the propagators of one period and then
 jump whole periods, by baby-step giant-step powers of the one-period map.
 The propagators land exactly on each stop; when the outputs have more
 distinct phases than a Chebyshev grid needs, the stops are the grid's nodes
 only and the phases are interpolated from those exact samples, with the
-Chebyshev tail checked against the tolerance.  For n <= 3 the period is cut at the stops into
-slices that are stepped side by side as one block, so a step costs a few
-large NumPy calls; larger n step the period sequentially.  The direct solver
-(``lindblad``) stores its lab-frame generator as the same kind of half-store
-of harmonics, evaluated by the same closure (:func:`_harmonic_matrix`), and
-runs it through the same one-period map (:class:`_Generator`).
+Chebyshev tail checked against the tolerance.  For n <= 4 the period is cut
+at the stops into slices that are stepped side by side as one block, so a
+step costs a few large NumPy calls; larger n step the period sequentially.
+The direct solver (``lindblad``) stores its lab-frame generator as the same
+kind of half-store of harmonics, evaluated by the same closure
+(:func:`_harmonic_matrix`), and runs it through the same one-period map
+(:class:`_Generator`).
 """
 
 import functools
@@ -52,8 +54,7 @@ from math import isqrt
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .floquet import (_SMALL_N, _prefix_products, _stacked_product, _sub_propagators,
-                      fourier_coefficients)
+from .floquet import _prefix_products, _stacked_product, _sub_propagators, fourier_coefficients
 from .integrate import IntegratorStats, OdeTol, integrate_adaptive, _repeat_memo
 from .qops import HERM_TOL, check_density_matrix, hermiticity_defect, unfold
 
@@ -77,6 +78,9 @@ _CHEB_NODES = 65
 # Candidate pairs of a filtered set are screened this many at a time, which
 # bounds the working memory of build_terms independently of the pair count.
 _PAIR_BLOCK = 1 << 15
+# Systems with n <= _SLICED_N step slices of the period side by side: that
+# halves the solve of a random n = 4 system, but slows n = 8 1.5 to 4 times.
+_SLICED_N = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +116,9 @@ class RateTermSet:
     Swapping the two tuples of a pair maps its contribution at (m, p, q) to
     the conjugate at (-m, p~, q~), p~ = (a', a) the transposed index, so
     R~_{-m}[p, q] = conj(R~_m[p~, q~]): the dissipator preserves
-    Hermiticity.  ``harmonics[m]`` therefore holds R~_m for m = 0 ... 2 k_max
-    only, shape (2 k_max + 1, n^2, n^2); with B(t) the formula above summed
+    Hermiticity.  ``harmonics[m]`` therefore holds R~_m for m = 0 ... M
+    only, shape (M + 1, n^2, n^2), M <= 2 k_max the last harmonic with a
+    kept entry (0 when none has one); with B(t) the formula above summed
     over m >= 0 only, harmonic 0 weighted 1/2,
     R(t)[p, q] = B(t)[p, q] + conj(B(t)[p~, q~]), and in the real
     coordinates of :func:`_coordinates` R(t) is 2 Re(U^dag B(t) U).
@@ -250,9 +255,9 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     (:func:`_sampled_harmonics`); no tuple pair is enumerated.  A filtered
     set screens candidate pairs in blocks, only within the window of
     rotation frequencies a kept pair can reach, and scatters each kept pair
-    into its harmonic.  Either way only harmonics m >= 0 are built (see
-    :class:`RateTermSet`), while the term counts cover every pair.  Memory
-    is bounded by the harmonic store.
+    into its harmonic.  Either way only harmonics m >= 0 are built, up to
+    the last with a kept entry (see :class:`RateTermSet`), while the term
+    counts cover every pair.  Memory is bounded by the harmonic store.
     """
     if basis.dim < 1:
         raise ValueError("empty Floquet basis")
@@ -342,6 +347,11 @@ def build_terms(basis, channels, k_max=20, secular_cutoff=0.0, coeff_floor=1e-12
     harmonics = sandwich.reshape(size, nn, nn)
     anti = -0.5 * anti.reshape(size, n, n)
     _add_sides(harmonics, anti, anti)
+    # Trailing empty harmonics are dropped (e.g. all m > 1 at a low cutoff).
+    nonzero = np.flatnonzero(harmonics.reshape(size, -1).any(axis=1))
+    top = nonzero[-1] + 1 if nonzero.size else 1
+    if top < size:
+        harmonics = harmonics[:top].copy()
 
     # The frequency m * omega + gaps[p] - gaps[q] of each entry.  Those of the
     # oscillating entries are symmetric under the mirror, which negates them:
@@ -383,26 +393,29 @@ def _coordinates(v):
     """Real coordinates r = U^dag v of supervectors v (axis -2).
 
     U is the orthonormal basis of Hermitian matrices (Alicki and Lendi,
-    *Quantum Dynamical Semigroups and Applications*, LNP 286, 1987): e_p
-    for each diagonal position and, for each pair p < p~ of transposed
-    positions, (e_p + e_p~)/sqrt(2) at position p and i(e_p - e_p~)/sqrt(2)
-    at position p~.  The coordinates of a Hermitian matrix are real:
-    v_p, sqrt(2) Re v_p and sqrt(2) Im v_p.  Returns complex values.
+    *Quantum Dynamical Semigroups and Applications*, LNP 286, 1987): first
+    e_p for each diagonal position, then for each pair p < p~ of transposed
+    positions (e_p + e_p~)/sqrt(2) and i(e_p - e_p~)/sqrt(2) side by side.
+    A Hermitian matrix has real coordinates: v_p, then the pairs
+    sqrt(2) (Re v_p, Im v_p), whose complex view sqrt(2) v_p turns by a
+    gap phase in one multiply.  Returns complex values.
     """
-    _, first, second = _pair_slots(isqrt(v.shape[-2]))
-    r = v.astype(complex)
+    diag, first, second = _pair_slots(isqrt(v.shape[-2]))
+    r = np.empty(v.shape, dtype=complex)
+    r[..., :diag.size, :] = v[..., diag, :]
     a, b = v[..., first, :], v[..., second, :]
-    r[..., first, :] = (a + b) * _SQRT_HALF
-    r[..., second, :] = (b - a) * (1j * _SQRT_HALF)
+    r[..., diag.size::2, :] = (a + b) * _SQRT_HALF
+    r[..., diag.size + 1::2, :] = (b - a) * (1j * _SQRT_HALF)
     return r
 
 
 def _vectors(r):
     """Supervectors U r of real (or complex) coordinates r (axis -2), the
     inverse of :func:`_coordinates`; Hermitian exactly when r is real."""
-    _, first, second = _pair_slots(isqrt(r.shape[-2]))
-    v = r.astype(complex)
-    a, b = r[..., first, :], r[..., second, :]
+    diag, first, second = _pair_slots(isqrt(r.shape[-2]))
+    v = np.empty(r.shape, dtype=complex)
+    v[..., diag, :] = r[..., :diag.size, :]
+    a, b = r[..., diag.size::2, :], r[..., diag.size + 1::2, :]
     v[..., first, :] = (a + 1j * b) * _SQRT_HALF
     v[..., second, :] = (a - 1j * b) * _SQRT_HALF
     return v
@@ -420,15 +433,18 @@ def _rotate(maps, times, gaps):
     """Rotate the coordinates ``maps`` (len(times), n^2, B) into the frame
     v~[p] = exp(-1j*gaps[p]*t) v[p], in place.
 
-    The gap of p~ is minus that of p, so each pair (r_p, r_p~) turns by the
-    angle gaps[p] * t, a real rotation.
+    The gap of p~ is minus that of p, so each pair of coordinates turns by
+    the angle gaps[p] * t: its complex view is multiplied by
+    exp(-1j*gaps[p]*t).  The turn is real, so a complex block turns its
+    real and imaginary parts alike.
     """
-    _, first, second = _pair_slots(isqrt(maps.shape[1]))
-    angle = np.multiply.outer(times, gaps[first])[..., None]
-    cos, sin = np.cos(angle), np.sin(angle)
-    a, b = maps[:, first], maps[:, second]
-    maps[:, first] = cos * a + sin * b
-    maps[:, second] = cos * b - sin * a
+    n = isqrt(maps.shape[1])
+    phase = np.exp(-1j * np.multiply.outer(times, gaps[_pair_slots(n)[1]]))[..., None]
+    parts = maps.view(float) if np.iscomplexobj(maps) else maps
+    a, b = parts[:, n::2], parts[:, n + 1::2]
+    z = a + 1j * b
+    z *= phase
+    a[...], b[...] = z.real, z.imag
     return maps
 
 
@@ -441,76 +457,59 @@ def _harmonic_matrix(harmonics, omega, gaps, constant):
     entry (p, q) of harmonic m oscillates at m * omega + gaps[p] - gaps[q],
     and harmonic -m is the mirror of harmonic m, its conjugate at the
     transposed positions (p~, q~), as for any Hermiticity-preserving
-    generator (see :class:`RateTermSet`).  So the generator is
-    C + mirror(C), with C the harmonics weighted by exp(1j*m*omega*t)
-    (harmonic 0 by 1/2 more) and by the gap phases
-    exp(1j*(gaps[p] - gaps[q])*t), and as the mirror maps U^dag C U to its
-    conjugate, A(t) = Re(U^dag (2C) U).  A ``constant`` generator, whose
-    every entry has frequency 0, is A(0) at all t.
+    generator (see :class:`RateTermSet`).  The mirror of U^dag X U is its
+    conjugate, so with P_m = U^dag R_m U
 
-    One exponential of the harmonic and gap frequencies gives every weight.
-    The weighted sum of the harmonics, up to the last nonzero one, is
-    projected with no mirrored copy and with the times on the trailing axes,
-    so that for the many slices of a small system each elementwise pass runs
-    over them in its innermost loop.  The projection Re(U^dag D^dag m D U),
-    D = diag(phi) the gap phases, phi[p~] = conj(phi[p]), combines columns q
-    and q~ of m: with X = alpha conj(phi) m + beta phi m[:, q~] and X' its
-    rows scaled by gamma phi (alpha, beta and gamma the entries of U), it is
-    Re X' + Im X'[p~].  The columns q~ are one gather with a precomputed
-    index and the rows p~ a view; the weights are applied as one ratio and
-    one outer product, as a multiply by weights that vary along one axis
-    only costs about twice one by a full-size array.
+        A(t) = G S(t) G^T,  S(t) = Re P_0 + sum_{m >= 1} 2 Re(P_m exp(1j*m*omega*t)),
+
+    with G = U^dag diag(exp(1j*gaps*t)) U, which turns each pair of
+    coordinates by its gap.  The closure projects the store once, a few
+    harmonics at a time, into the real store [2 Re P_1, -2 Im P_1, ...,
+    2 Re P_M, -2 Im P_M, Re P_0], so S(t) is one real product with
+    [cos omega t, sin omega t, ..., 1], the real view of the phases
+    exp(1j*m*omega*t), m = 1 ... M, 0.  G then multiplies the complex view
+    of each pair of columns by exp(1j*gaps*t), and the same on the
+    transpose turns the rows.  A ``constant`` generator, whose every entry
+    has frequency 0, is A(0) at all t.
     """
-    nn = harmonics.shape[1]
+    size, nn, _ = harmonics.shape
     n = isqrt(nn)
-    shape = (n,) * 4
-    swap = np.arange(nn * nn).reshape(shape).swapaxes(-1, -2).ravel()
-    # alpha, beta and gamma of each position
-    diag, first, second = _pair_slots(n)
-    weights = np.empty((3, nn), dtype=complex)
-    weights[:, first] = _SQRT_HALF
-    weights[:2, diag] = 0.5
-    weights[2, diag] = 0.5 + 0.5j
-    weights[0, second] = -1j * _SQRT_HALF
-    weights[1:, second] = 1j * _SQRT_HALF
-    size = harmonics.shape[0]
-    while size > 1 and not harmonics[size - 1].any():
-        size -= 1
-    flat = harmonics[:size].reshape(size, nn * nn)
-    # One exponential per harmonic and per sign of each pair's gap; the
-    # weights of position p carry exp(-+1j*gaps[p]*t), 1 on the diagonal
-    # (the m = 0 entry).
-    pairs = np.arange(first.size)
-    ifreq = 1j * np.concatenate((np.arange(size) * omega, gaps[first], -gaps[first]))
-    plus, minus = np.zeros(nn, dtype=int), np.zeros(nn, dtype=int)
-    plus[first] = minus[second] = size + pairs
-    plus[second] = minus[first] = size + first.size + pairs
-    pick = np.concatenate((np.arange(size), minus, plus, plus))
-    scale = np.concatenate(([1.0], np.full(size - 1, 2.0), weights.ravel()))
-    scale_column = scale[:, None]
+    # The coordinates of the rows of X and then of its columns are
+    # (U^dag X conj(U))^T: (U^dag X U)^T with the row of each pair's second
+    # coordinate negated, as that column of U is imaginary.  The store
+    # holds the transposes, whose product is S(t)^T.
+    sign = np.ones((nn, 1))
+    sign[n + 1::2] = -1.0
+    order = np.roll(np.arange(size), -1)  # m = 1 ... M, then 0
+    store = np.empty((size, 2, nn, nn))
+    chunk = max(1, (1 << 14) // (nn * nn))  # bounds the temporaries
+    for lo in range(0, size, chunk):
+        x = _coordinates(_coordinates(harmonics[order[lo:lo + chunk]]).swapaxes(-1, -2))
+        np.multiply(x.real, 2.0 * sign, out=store[lo:lo + chunk, 0])
+        np.multiply(x.imag, -2.0 * sign, out=store[lo:lo + chunk, 1])
+    store[-1, 0] *= 0.5  # harmonic 0 is its own mirror
+    flat = store.reshape(2 * size, nn * nn)[:-1]
+    pair_gaps = gaps[_pair_slots(n)[1]]
+    rotating = bool(pair_gaps.any())
+    ifreq = 1j * np.concatenate((np.arange(1, size) * omega, [0.0], pair_gaps))
 
-    def project(m, phased):
-        # m (n^2, n^2, *lead), phased (3, n, n, *lead): X' = (gamma phi)
-        # (alpha conj(phi)) (m + beta phi / (alpha conj(phi)) m[:, q~])
-        lead = m.shape[2:]
-        cols, cols_swapped, rows = phased
-        x = m.reshape((-1,) + lead).take(swap, axis=0).reshape(shape + lead)
-        x *= cols_swapped / cols
-        x += m.reshape(shape + lead)
-        x *= rows[:, :, None, None] * cols
-        out = np.add(x.real, x.swapaxes(0, 1).imag).reshape((nn, nn) + lead)
-        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+    def turn(s, phase):
+        # G S G^T from S^T (..., n^2, n^2) and the pair phases (..., 1, pairs)
+        s[..., n:].view(complex)[...] *= phase
+        s = s.swapaxes(-1, -2).copy()
+        s[..., n:].view(complex)[...] *= phase
+        return s
 
     def at(t):
         # not np.ndim(t), which costs about 1 us per call
         if not (isinstance(t, np.ndarray) and t.ndim):
-            e = np.exp(t * ifreq).take(pick)
-            e *= scale
-            return project((e[:size] @ flat).reshape(nn, nn), e[size:].reshape(3, n, n))
-        e = np.exp(np.multiply.outer(ifreq, t.ravel())).take(pick, axis=0)
-        e *= scale_column
-        r = (flat.T @ e[:size]).reshape(nn, nn, -1)
-        return project(r, e[size:].reshape(3, n, n, -1)).reshape(t.shape + (nn, nn))
+            e = np.exp(t * ifreq)
+            s = (e[:size].view(float)[:-1] @ flat).reshape(nn, nn)
+            return turn(s, e[size:]) if rotating else s.T
+        e = np.exp(np.multiply.outer(t.ravel(), ifreq))
+        s = (e[:, :size].view(float)[:, :-1] @ flat).reshape(-1, nn, nn)
+        s = turn(s, e[:, None, size:]) if rotating else s.swapaxes(-1, -2)
+        return s.reshape(t.shape + (nn, nn))
 
     if constant:
         static = at(0.0)
@@ -692,7 +691,7 @@ def _integrate_stops(gen, y0, stops, tol):
     """Solution of dv/dt = A(t) v, v(0) = y0 an (n^2, B) block, at the
     increasing ``stops``, flattened to shape (len(stops), n^2 B).
 
-    For n <= ``floquet._SMALL_N`` the propagators at the stops come from
+    For n <= ``_SLICED_N`` (4) the propagators at the stops come from
     slices stepped side by side (:func:`_slice_maps`), no slice longer than
     T/16 or the step cap; Python overhead, not flops, bounds these small
     systems.  Larger n step the block sequentially from stop to stop.  The
@@ -712,7 +711,7 @@ def _integrate_stops(gen, y0, stops, tol):
     """
     total = IntegratorStats()
     max_step = tol.max_step * gen.period if tol.max_step is not None else gen.max_step
-    sliced = gen.dim <= _SMALL_N
+    sliced = gen.dim <= _SLICED_N
     rhs = None if sliced else _make_rhs(gen)
     slices = 0
 
@@ -802,7 +801,7 @@ def _propagate(gen, block, times, tol):
     Phi~(j*T + tau) = Phi~(tau) Phi~(T)^j (see :class:`_Generator`).  The
     propagators of one period are formed at every distinct phase tau and at
     T (:func:`_integrate_stops`): from slices stepped side by side for
-    n <= 3, by stepping the n^2 x n^2 identity otherwise.  Later periods
+    n <= 4, by stepping the n^2 x n^2 identity otherwise.  Later periods
     follow by powers of P = Phi~(T), by baby-step giant-step
     (:func:`_period_powers`).  When every time lies in the first period only
     the span up to the largest phase is needed, and the block itself is
@@ -862,7 +861,7 @@ class Diagnostics:
     ``phase_nodes`` and ``phase_tail`` are the one-period map's Chebyshev
     node count (0 when the integrator stopped at every phase) and relative
     coefficient tail.  ``period_slices`` is the number S of slices stepped
-    side by side for the map (n <= 3), 0 when it was integrated
+    side by side for the map (n <= 4), 0 when it was integrated
     sequentially; ``steps_accepted``, ``steps_rejected`` and ``rhs_evals``
     then count block steps of those S slices.
     """

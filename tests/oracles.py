@@ -28,20 +28,22 @@ from flime.solver import _SECULAR_REL_TOL
 
 def hermitian_basis(n):
     """The unitary U whose columns are the real-coordinate basis of the
-    solver: for supervector positions p = i0 * n + i1, e_p on the diagonal
-    (i0 == i1) and, for each pair i0 < i1 with transposed position p~,
-    (e_p + e_p~)/sqrt(2) in column p and i(e_p - e_p~)/sqrt(2) in column p~.
-    Coordinates are r = U^dag v, superoperators U^dag A U."""
+    solver: for supervector positions p = i0 * n + i1, first e_p for each
+    diagonal position (i0 == i1), then, for each pair i0 < i1 in order of p
+    with transposed position p~, (e_p + e_p~)/sqrt(2) and i(e_p - e_p~)/sqrt(2)
+    in two adjacent columns.  Coordinates are r = U^dag v, superoperators
+    U^dag A U."""
     u = np.zeros((n * n, n * n), dtype=complex)
     for i0 in range(n):
-        for i1 in range(n):
+        u[i0 * n + i0, i0] = 1.0
+    col = n
+    for i0 in range(n):
+        for i1 in range(i0 + 1, n):
             p, pt = i0 * n + i1, i1 * n + i0
-            if i0 == i1:
-                u[p, p] = 1.0
-            elif i0 < i1:
-                u[p, p] = u[pt, p] = np.sqrt(0.5)
-                u[p, pt] = 1j * np.sqrt(0.5)
-                u[pt, pt] = -1j * np.sqrt(0.5)
+            u[p, col] = u[pt, col] = np.sqrt(0.5)
+            u[p, col + 1] = 1j * np.sqrt(0.5)
+            u[pt, col + 1] = -1j * np.sqrt(0.5)
+            col += 2
     return u
 
 
@@ -144,15 +146,16 @@ def dissipator_bruteforce(basis, channels, rho, t, k_max=20):
 
 
 def full_harmonics(rates):
-    """The full stack R~_m, m = -2 k_max ... 2 k_max, shape
-    (4 k_max + 1, n^2, n^2), and the frequency m*omega + gaps[p] - gaps[q]
+    """The full stack R~_m, m = -M ... M, shape (2 M + 1, n^2, n^2) for the
+    stored harmonics m = 0 ... M, and the frequency m*omega + gaps[p] - gaps[q]
     of each entry, from the stored m >= 0 by R~_{-m}[p, q] = conj(R~_m[p~, q~])
     with p~ the transposed supervector index."""
     n = rates.dim
     half = rates.harmonics.reshape(-1, n, n, n, n)
     mirrored = half[:0:-1].transpose(0, 2, 1, 4, 3).conj()
     full = np.concatenate((mirrored, half)).reshape(-1, n * n, n * n)
-    m = np.arange(-2 * rates.k_max, 2 * rates.k_max + 1) * rates.omega
+    top = rates.harmonics.shape[0] - 1
+    m = np.arange(-top, top + 1) * rates.omega
     freqs = m[:, None, None] + np.subtract.outer(rates.gaps, rates.gaps)[None]
     return full, freqs
 

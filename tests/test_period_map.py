@@ -10,6 +10,7 @@ master equation over the whole span.
 """
 
 import dataclasses
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -258,9 +259,9 @@ def test_one_short_time_takes_at_most_one_slice(kind, fraction):
 
 
 @pytest.mark.parametrize("kind", ["rates", "lab"])
-def test_four_levels_step_the_period_sequentially(kind):
+def test_five_levels_step_the_period_sequentially(kind):
     rng = np.random.default_rng(31)
-    h, channel = random_single_harmonic_system(rng, 4)
+    h, channel = random_single_harmonic_system(rng, 5)
     if kind == "rates":
         basis = compute_basis(h)
         rates = build_terms(basis, [channel], k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
@@ -269,12 +270,12 @@ def test_four_levels_step_the_period_sequentially(kind):
         gen = lindblad_mod._lab_generator(LiouvillianSpec(h, (channel,)))
     tol = OdeTol(rtol=1e-9, atol=1e-12)
     points = np.arange(9) * (gen.period / 8)
-    y0 = np.eye(16)
+    y0 = np.eye(25)
     flat, stats, _, _, slices = solver_mod._integrate_stops(gen, y0, points, tol)
     assert slices == 0 and stats.steps_accepted > 0
-    np.testing.assert_array_equal(flat.reshape(9, 16, 16), sequential_stops(gen, y0, points, tol))
+    np.testing.assert_array_equal(flat.reshape(9, 25, 25), sequential_stops(gen, y0, points, tol))
     times = np.linspace(0.0, 3 * gen.period, 13)
-    res = evolve_direct(LiouvillianSpec(h, (channel,)), random_density(rng, 4), times, tol=tol)
+    res = evolve_direct(LiouvillianSpec(h, (channel,)), random_density(rng, 5), times, tol=tol)
     assert res.diagnostics.period_slices == 0
 
 
@@ -401,8 +402,8 @@ def test_max_step_reaches_the_integrator(monkeypatch):
     basis = compute_basis(spec.hamiltonian)
     rates = build_terms(basis, spec.channels, k_max=5, secular_cutoff=np.inf, coeff_floor=0.0)
     rng = np.random.default_rng(31)
-    h4, channel4 = random_single_harmonic_system(rng, 4)
-    spec4 = LiouvillianSpec(h4, (channel4,))
+    h5, channel5 = random_single_harmonic_system(rng, 5)
+    spec5 = LiouvillianSpec(h5, (channel5,))
     tol = OdeTol(rtol=1e-9, atol=1e-12, max_step=0.05)
     taus = np.linspace(0.0, 3.0, 31)
     recorded = []
@@ -441,15 +442,15 @@ def test_max_step_reaches_the_integrator(monkeypatch):
         "evolve_direct": (period, lambda: evolve_direct(spec, rho0, taus, tol=tol)),
         "reference cycle": (period, lambda: ReferencePropagator(spec, tol).cycle(
             ReferencePropagator(spec, tol).start(rho0), 0, taus[:4])),
-        # n = 4 steps the period sequentially
-        "evolve_direct n=4": (h4.period, lambda: evolve_direct(
-            spec4, random_density(rng, 4), taus, tol=tol)),
+        # n = 5 steps the period sequentially
+        "evolve_direct n=5": (h5.period, lambda: evolve_direct(
+            spec5, random_density(rng, 5), taus, tol=tol)),
     }
     for name, (run_period, run) in runs.items():
         recorded.clear()
         run()
         cap = 0.05 * run_period
-        kind = "sequential" if name.endswith("n=4") else "sliced"
+        kind = "sequential" if name.endswith("n=5") else "sliced"
         assert recorded and all(k == kind for k, _ in recorded), name
         if kind == "sequential":
             assert all(m == cap for _, m in recorded), name
@@ -458,10 +459,11 @@ def test_max_step_reaches_the_integrator(monkeypatch):
 
 
 def _complex_closure(kind, n, cutoff):
-    """A real-coordinate generator and its complex closure t -> A(t) on
-    supervectors: the rate matrix summed from the full harmonic stack
-    (``oracles.full_harmonics``), or the lab-frame Lindbladian from
-    Kronecker products of H(t) (``oracles.liouvillian_at``)."""
+    """A real-coordinate generator, its complex closure t -> A(t) on
+    supervectors and the rate set (None for the lab frame): the rate matrix
+    summed from the full harmonic stack (``oracles.full_harmonics``), or the
+    lab-frame Lindbladian from Kronecker products of H(t)
+    (``oracles.liouvillian_at``)."""
     h, channel = random_single_harmonic_system(np.random.default_rng(31), n)
     if kind == "lab":
         spec = LiouvillianSpec(h, (channel,))
@@ -471,7 +473,7 @@ def _complex_closure(kind, n, cutoff):
             stack = [liouvillian_at(spec, x) for x in t.ravel()]
             return np.array(stack).reshape(t.shape + (n * n, n * n))
 
-        return lindblad_mod._lab_generator(spec), lab_closure
+        return lindblad_mod._lab_generator(spec), lab_closure, None
     basis = compute_basis(h)
     rates = build_terms(basis, [channel], k_max=5, secular_cutoff=cutoff, coeff_floor=0.0)
     full, freqs = full_harmonics(rates)
@@ -481,43 +483,103 @@ def _complex_closure(kind, n, cutoff):
         phases = np.exp(1j * np.multiply.outer(t, freqs))
         return np.sum(full * phases, axis=t.ndim)
 
-    return solver_mod._rate_generator(rates, basis), closure
+    return solver_mod._rate_generator(rates, basis), closure, rates
 
 
 _GENERATOR_KINDS = [("rates", np.inf), ("rates", 5.0), ("rates", 0.0), ("lab", None)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _half_store_oracle(harmonics, omega, gaps):
+    """Re(U^dag 2C(t) U), with C(t) the half-store weighted by
+    exp(1j*m*omega*t) (harmonic 0 by 1/2 more) and by the gap phases
+    exp(1j*(gaps[p] - gaps[q])*t), summed in complex arithmetic with U
+    from ``oracles.hermitian_basis``."""
+    u = hermitian_basis(isqrt(harmonics.shape[1]))
+    freqs = omega * np.arange(len(harmonics))
+
+    def at(t):
+        c = np.tensordot(np.exp(1j * freqs * t), harmonics, axes=1) - 0.5 * harmonics[0]
+        phase = np.exp(1j * gaps * t)
+        return (u.conj().T @ (2.0 * phase[:, None] * c * phase.conj()) @ u).real
+
+    return at
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("kind, cutoff", _GENERATOR_KINDS,
                          ids=["complete", "filtered", "static", "lab"])
 def test_generator_matrix_is_real_projection(kind, cutoff, n):
-    gen, closure = _complex_closure(kind, n, cutoff)
+    # one time, as the sequential side asks, and an array, as the slices do
+    gen, closure, rates = _complex_closure(kind, n, cutoff)
     u = hermitian_basis(n)
-    times = np.random.default_rng(8).uniform(0.0, 3.0 * gen.period, 4)
+    times = np.random.default_rng(8).uniform(0.0, 3.0 * gen.period, (2, 2))
     projected = u.conj().T @ closure(times) @ u
     # a Hermiticity-preserving generator is real in these coordinates
     assert np.max(np.abs(projected.imag)) <= 1e-13
     ours = gen.matrix(times)
-    assert ours.dtype == np.float64
+    assert ours.dtype == np.float64 and ours.shape == projected.shape
     assert np.max(np.abs(ours - projected.real)) <= 1e-13
-    for t, ref in zip(times, projected.real):
+    half = None if rates is None else _half_store_oracle(rates.harmonics, rates.omega, rates.gaps)
+    for t, ref in zip(times.ravel(), projected.real.reshape(-1, n * n, n * n)):
         one = gen.matrix(float(t))
         assert one.dtype == np.float64 and np.max(np.abs(one - ref)) <= 1e-13
+        if half is not None:
+            assert np.max(np.abs(one - half(t))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_coordinates_round_trip_and_hermitian_is_real(n):
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=(2, n * n, 3)) + 1j * rng.normal(size=(2, n * n, 3))
+    r = solver_mod._coordinates(v)
+    u = hermitian_basis(n)
+    assert np.max(np.abs(r - u.conj().T @ v)) <= 1e-15
+    assert np.max(np.abs(solver_mod._vectors(r) - v)) <= 1e-15
+    rho = random_density(rng, n)
+    r = solver_mod._coordinates(unfold(rho)[:, None])[:, 0]
+    assert np.max(np.abs(r.imag)) <= 1e-16
+    assert np.array_equal(solver_mod._start_coordinates(unfold(rho), rho), r.real)
+    # the complex view of each pair is sqrt(2) rho[a, a'], a < a'
+    pairs = r.real[n:].copy().view(complex)
+    upper = rho.T[np.triu_indices(n, 1)]
+    assert np.max(np.abs(pairs - np.sqrt(2.0) * upper)) <= 1e-15
+
+
+@pytest.mark.parametrize("phases", [10, 100])
+@pytest.mark.parametrize("kind", ["rates", "lab"])
+def test_four_levels_take_the_sliced_side(kind, phases):
+    # 10 phases are stops of the slices; 100 are more than the Chebyshev
+    # nodes and are interpolated from them
+    rng = np.random.default_rng(31)
+    h, channel = random_single_harmonic_system(rng, 4)
+    spec = LiouvillianSpec(h, (channel,))
+    rho0 = random_density(rng, 4)
+    times = np.arange(3 * phases + 1) * (h.period / phases)
+    if kind == "rates":
+        basis = compute_basis(h)
+        rates = build_terms(basis, [channel], k_max=10, secular_cutoff=np.inf, coeff_floor=0.0)
+        res = evolve(rates, basis, rho0, times, tol=ORACLE_TOL)
+    else:
+        res = evolve_direct(spec, rho0, times, tol=ORACLE_TOL)
+    assert res.diagnostics.period_slices > 0
+    assert (res.diagnostics.phase_nodes > 0) == (phases > solver_mod._CHEB_NODES)
+    ref = direct_full_span(spec, rho0, times, ORACLE_TOL)
+    assert max(trace_distance(a, b) for a, b in zip(res.states, ref)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize("kind", ["rates", "lab"])
 def test_real_coordinates_match_complex_stepping(kind, n):
-    # n = 2 takes the sliced side, n = 4 and 8 the sequential one; the
+    # n = 2 and 4 take the sliced side, n = 8 the sequential one; the
     # oracle steps the complex supervectors over the whole span
-    gen, closure = _complex_closure(kind, n, np.inf)
+    gen, closure, _ = _complex_closure(kind, n, np.inf)
     tol = OdeTol(rtol=1e-10, atol=1e-12)
     rho0 = random_density(np.random.default_rng(4), n)
     block = gen.start(rho0)[:, None]
     assert block.dtype == np.float64
     times = np.linspace(0.0, 2.5 * gen.period, 11)
     _, images, _, (_, _, slices) = solver_mod._propagate(gen, block, times, tol)
-    assert images.dtype == np.float64 and (slices > 0) == (n == 2)
+    assert images.dtype == np.float64 and (slices > 0) == (n <= 4)
     u = hermitian_basis(n)
     oracle = sequential_stops(dataclasses.replace(gen, matrix=closure), u @ block, times, tol)
     # into the rotated frame of the images
@@ -541,8 +603,8 @@ def test_evolved_states_are_hermitian(kind):
 
 @pytest.mark.parametrize("empty", [(1, 3, 4, 5), (2, 3, 4, 5, 6)])
 def test_rate_matrix_skips_only_trailing_empty_harmonics(empty):
-    # a filtered set often keeps only the first few harmonics; the sum may
-    # stop after the last one with a kept entry, not before
+    # build_terms drops trailing empty harmonics, but the closure must not
+    # rely on it: empty harmonics inside or at the end of a store add nothing
     h, channel = random_single_harmonic_system(np.random.default_rng(31), 3)
     basis = compute_basis(h)
     rates = build_terms(basis, [channel], k_max=3, secular_cutoff=np.inf, coeff_floor=0.0)

@@ -179,13 +179,15 @@ class TestHalfStore:
         channel = CollapseChannel(np.array([[0.3, 1.0], [0.5j, -0.2]]), 0.2)
         rates = build_terms(basis, [channel], k_max=k_max, secular_cutoff=np.inf,
                             coeff_floor=0.0)
-        assert rates.harmonics.shape == (2 * k_max + 1, 4, 4)
+        top = rates.harmonics.shape[0] - 1
+        assert rates.harmonics.shape[1:] == (4, 4) and 1 <= top <= 2 * k_max
+        assert rates.harmonics[top].any()
         full, freqs = full_harmonics(rates)
         secular = np.abs(freqs) <= 1e-12 * omega
         for m in (-1, 1):
-            assert secular[2 * k_max + m].any()
+            assert secular[top + m].any()
             if amplitude:
-                assert np.max(np.abs(full[2 * k_max + m][secular[2 * k_max + m]])) > 1e-2
+                assert np.max(np.abs(full[top + m][secular[top + m]])) > 1e-2
 
         terms = list(enumerate_terms(basis, channel, k_max))
         expected = sum(term.weight * term.superop(2) for term in terms if term.delta == 0.0)
@@ -208,7 +210,10 @@ class TestHalfStore:
         k_max = 3
         rates = build_terms(basis, [channel], k_max=k_max, secular_cutoff=cutoff,
                             coeff_floor=floor)
-        assert rates.harmonics.shape == (2 * k_max + 1, 9, 9)
+        # the store ends at the last harmonic with a kept entry
+        top = rates.harmonics.shape[0] - 1
+        assert rates.harmonics.shape[1:] == (9, 9) and top <= 2 * k_max
+        assert top == 0 or rates.harmonics[top].any()
         candidates, static, oscillating, deltas = term_counts(basis, channel, k_max,
                                                               cutoff, floor)
         assert (rates.candidate_terms, rates.kept_static, rates.kept_oscillating,
