@@ -12,7 +12,7 @@ from math import isqrt
 import numpy as np
 
 from .integrate import OdeTol, integrate_adaptive, _repeat_memo
-from .qops import unitarity_defect
+from .qops import _powers, unitarity_defect
 
 __all__ = [
     "FloquetBasis",
@@ -33,7 +33,8 @@ BASIS_TOL = OdeTol(rtol=1e-10, atol=1e-12)
 _UNITARY_TOL = 1e-9
 _REUNITARIZE_TOL = 1e-6
 # Mode Fourier frequencies are split as f = _SPLIT * q + r, 0 <= r < _SPLIT, so
-# that interpolating the modes takes few exponentials (see modes_at_many).
+# that interpolating the modes needs no (times x n_samples) phase table, only
+# powers of two phases per time (see modes_at_many).
 _SPLIT = 16
 # Sub-intervals of the monodromy block.  Not a power of two, so the partition
 # never coincides with a mode grid's and closure_defect always compares two
@@ -81,7 +82,7 @@ class FloquetBasis:
     grid_times: np.ndarray
     mode_grid: np.ndarray
     closure_defect: float = 0.0
-    _coarse_freqs: np.ndarray = field(init=False, repr=False)
+    _coarse_rows: tuple = field(init=False, repr=False)
     _split_coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,11 +90,11 @@ class FloquetBasis:
         coeffs = np.fft.fft(self.mode_grid, axis=0) / n_samples
         freqs = np.rint(np.fft.fftfreq(n_samples, d=1.0 / n_samples)).astype(int)
         coarse, fine = np.divmod(freqs, _SPLIT)
-        coarse, coarse_index = np.unique(coarse, return_inverse=True)
-        split = np.zeros((coarse.size, _SPLIT, n * n), dtype=complex)
-        split[coarse_index, fine] = coeffs.reshape(n_samples, n * n)
-        object.__setattr__(self, "_coarse_freqs", _SPLIT * coarse)
-        object.__setattr__(self, "_split_coeffs", split.reshape(coarse.size, -1))
+        low, high = int(-coarse.min()), int(coarse.max())
+        split = np.zeros((low + high + 1, _SPLIT, n * n), dtype=complex)
+        split[coarse + low, fine] = coeffs.reshape(n_samples, n * n)
+        object.__setattr__(self, "_coarse_rows", (low, high))
+        object.__setattr__(self, "_split_coeffs", split.reshape(low + high + 1, -1))
 
     @property
     def dim(self):
@@ -122,16 +123,25 @@ class FloquetBasis:
 
         The Fourier coefficients are stored by f = 16 q + r, 0 <= r < 16, so
         sum_f exp(1j*omega*tau*f) c_f is a product with the coarse phases
-        exp(1j*omega*tau*16 q) followed by a sum over the fine phases
-        exp(1j*omega*tau*r): n_samples / 16 + 16 exponentials per time
-        instead of n_samples, and no (times x n_samples) table.
+        w**q, w = exp(1j*omega*tau*16), followed by a sum over the fine
+        phases z**r, z = exp(1j*omega*tau), with no (times x n_samples)
+        table.  Both tables are running products (:func:`~flime.qops._powers`)
+        from two exponentials per time; the coarse one runs outward from
+        q = 0, with the phases of q < 0 the conjugates of those of -q, so the
+        low harmonics, which carry the modes, carry the fewest roundings.
         """
-        times = np.asarray(times, dtype=float)
+        times = np.asarray(times, dtype=float).ravel()
         wt = self.omega * np.mod(times, self.period)
-        coarse = np.exp(1j * np.outer(wt, self._coarse_freqs))
-        fine = np.exp(1j * np.outer(wt, np.arange(_SPLIT)))
+        low, high = self._coarse_rows
+        # q = -low ... high, ascending; the powers run to max(low, high)
+        # for the conjugates, so one column may pass q = high
+        coarse = np.empty((times.size, low + max(low, high) + 1), dtype=complex)
+        _powers(1.0, np.exp(1j * _SPLIT * wt), max(low, high) + 1, out=coarse[:, low:])
+        np.conjugate(coarse[:, 2 * low:low:-1], out=coarse[:, :low])
         n = self.dim
-        partial = (coarse @ self._split_coeffs).reshape(times.size, _SPLIT, n * n)
+        partial = (coarse[:, :low + high + 1] @ self._split_coeffs).reshape(times.size, _SPLIT, n * n)
+        del coarse  # the two phase tables are never alive together
+        fine = _powers(1.0, np.exp(1j * wt), _SPLIT)
         return (fine[:, None, :] @ partial).reshape(times.size, n, n)
 
 

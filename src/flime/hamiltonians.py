@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qops import hermiticity_defect, sigma_x
+from .qops import _powers, hermiticity_defect, sigma_x
 
 __all__ = [
     "HarmonicTerm",
@@ -149,16 +149,17 @@ class PeriodicHamiltonian:
                 f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
         object.__setattr__(self, "_harmonics", dict(zip(ids.tolist(), stack)))
         # H(t) = exp(1j * t * freqs) . stack, so one product per call.  Row 0
-        # is the frequency-zero part (static plus any harmonic 0), then the
-        # positive harmonics, then their negative partners in the same order,
+        # is the frequency-zero part (static plus any harmonic 0), then every
+        # harmonic 1 ... K, zero where absent, then the partners -1 ... -K,
         # whose phases are the conjugates of the positive ones.
-        positive = ids[ids > 0]
-        harmonic_ids = np.concatenate(([0], positive, -positive))
+        k = int(ids.max(initial=0))
+        harmonic_ids = np.concatenate((np.arange(k + 1), -np.arange(1, k + 1)))
+        rows = np.zeros((2 * k + 1, n, n), dtype=complex)
+        rows[np.where(ids >= 0, ids, k - ids)] = stack
+        rows[0] += static
         object.__setattr__(self, "_harmonic_ids", harmonic_ids)
         object.__setattr__(self, "_freqs", self.omega * harmonic_ids.astype(float))
-        object.__setattr__(self, "_stack", np.concatenate((
-            (static + stack[ids == 0].sum(axis=0)).reshape(1, n * n),
-            stack[np.searchsorted(ids, harmonic_ids[1:])].reshape(-1, n * n))))
+        object.__setattr__(self, "_stack", rows.reshape(-1, n * n))
 
     @property
     def dim(self):
@@ -172,23 +173,23 @@ class PeriodicHamiltonian:
         """Evaluate H(t): shape (n, n) for a scalar ``t``, (*t.shape, n, n)
         for an array of times.
 
-        One table of the harmonic phases times the harmonic stack, so an
-        array of times costs one product, not one call per time.  Only the
-        positive harmonics' phases go through ``exp``; each negative
-        partner's phase is their conjugate, which halves the ``exp`` count of
-        the table.  This is the pointwise path, which
-        :func:`~flime.floquet.monodromy` uses on arrays of times;
-        :meth:`on_grid` is the FFT path of the mode grid.  The direct solver
-        does not call it: it stores the harmonics once.
+        One table of the harmonic phases times the harmonic stack, formed
+        on the flattened times, so an array of times of any shape costs one
+        product, not one call per time.  The phases of harmonics 0 ... K
+        are the powers of exp(1j*omega*t), a running product
+        (:func:`~flime.qops._powers`) with one ``exp`` per time, and each
+        negative partner's phase is their conjugate.  This is the pointwise
+        path, which :func:`~flime.floquet.monodromy` uses on arrays of
+        times; :meth:`on_grid` is the FFT path of the mode grid, with its
+        own ``exp`` of each harmonic's phase.  The direct solver does not
+        call it: it stores the harmonics once.
         """
         n = self.dim
         t = np.asarray(t, dtype=float)
-        n_positive = self._freqs.size // 2
-        phases = np.empty((*t.shape, self._freqs.size), dtype=complex)
-        phases[..., 0] = 1.0
-        positive = phases[..., 1:n_positive + 1]
-        np.exp(1j * np.multiply.outer(t, self._freqs[1:n_positive + 1]), out=positive)
-        np.conjugate(positive, out=phases[..., n_positive + 1:])
+        k = self._freqs.size // 2
+        phases = np.empty((t.size, 2 * k + 1), dtype=complex)
+        _powers(1.0, np.exp(1j * self.omega * t.ravel()), k + 1, out=phases[:, :k + 1])
+        np.conjugate(phases[:, 1:k + 1], out=phases[:, k + 1:])
         return np.dot(phases, self._stack).reshape(*t.shape, n, n)
 
     def on_grid(self, n_samples, shift=0.0):

@@ -97,6 +97,24 @@ def unitarity_defect(u):
     return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
+def _powers(first, ratio, count, out=None):
+    """``first * ratio**j`` for j < count along a new last axis, shape
+    (*ratio.shape, count), written into ``out`` when given; ``first`` is
+    a scalar or has shape (*ratio.shape, 1).
+
+    One running product, a multiply per entry where exp(1j*j*theta) would
+    cost a complex exp: power j carries about j roundings more than
+    ``ratio`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 3), the order of the rounding of the argument j*theta that
+    the exp table carries.
+    """
+    if out is None:
+        out = np.empty(ratio.shape + (count,), dtype=complex)
+    out[..., :1] = first
+    out[..., 1:] = ratio[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
 # Largest Hermiticity defect of a matrix that is taken to be Hermitian.
 HERM_TOL = 1e-12
 

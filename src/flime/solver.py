@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .floquet import _prefix_products, _stacked_product, _sub_propagators, fourier_coefficients
 from .integrate import IntegratorStats, OdeTol, integrate_adaptive, _repeat_memo
-from .qops import HERM_TOL, check_density_matrix, hermiticity_defect, unfold
+from .qops import HERM_TOL, _powers, check_density_matrix, hermiticity_defect, unfold
 
 __all__ = [
     "CollapseChannel",
@@ -467,8 +467,11 @@ def _harmonic_matrix(harmonics, omega, gaps, constant):
     harmonics at a time, into the real store [2 Re P_1, -2 Im P_1, ...,
     2 Re P_M, -2 Im P_M, Re P_0], so S(t) is one real product with
     [cos omega t, sin omega t, ..., 1], the real view of the phases
-    exp(1j*m*omega*t), m = 1 ... M, 0.  G then multiplies the complex view
-    of each pair of columns by exp(1j*gaps*t), and the same on the
+    exp(1j*m*omega*t), m = 1 ... M, 0.  For an array of times those phases
+    are the powers of exp(1j*omega*t), a running product
+    (:func:`~flime.qops._powers`) with one ``exp`` per time; a scalar t
+    takes ``exp`` of each.  G then multiplies the complex view of each pair
+    of columns by exp(1j*gaps*t), always by ``exp``, and the same on the
     transpose turns the rows.  A ``constant`` generator, whose every entry
     has frequency 0, is A(0) at all t.
     """
@@ -492,6 +495,7 @@ def _harmonic_matrix(harmonics, omega, gaps, constant):
     pair_gaps = gaps[_pair_slots(n)[1]]
     rotating = bool(pair_gaps.any())
     ifreq = 1j * np.concatenate((np.arange(1, size) * omega, [0.0], pair_gaps))
+    ibase = 1j * np.concatenate(([omega], pair_gaps))  # the array branch's exp
 
     def turn(s, phase):
         # G S G^T from S^T (..., n^2, n^2) and the pair phases (..., 1, pairs)
@@ -506,9 +510,12 @@ def _harmonic_matrix(harmonics, omega, gaps, constant):
             e = np.exp(t * ifreq)
             s = (e[:size].view(float)[:-1] @ flat).reshape(nn, nn)
             return turn(s, e[size:]) if rotating else s.T
-        e = np.exp(np.multiply.outer(t.ravel(), ifreq))
-        s = (e[:, :size].view(float)[:, :-1] @ flat).reshape(-1, nn, nn)
-        s = turn(s, e[:, None, size:]) if rotating else s.swapaxes(-1, -2)
+        base = np.exp(np.multiply.outer(t.ravel(), ibase))
+        e = np.empty((t.size, size), dtype=complex)
+        _powers(base[:, :1], base[:, 0], size - 1, out=e[:, :-1])
+        e[:, -1] = 1.0
+        s = (e.view(float)[:, :-1] @ flat).reshape(-1, nn, nn)
+        s = turn(s, base[:, None, 1:]) if rotating else s.swapaxes(-1, -2)
         return s.reshape(t.shape + (nn, nn))
 
     if constant:

@@ -313,3 +313,21 @@ def sequential_powers(pmap, block, periods):
         j = target
         out[k] = w
     return out
+
+
+def split_modes_at_many(basis, times):
+    """Mode matrices at ``times`` from the Fourier series of the basis's
+    ``mode_grid``, the frequencies split as f = 16 q + r, 0 <= r < 16, with
+    every coarse phase exp(1j*omega*tau*16 q) and fine phase
+    exp(1j*omega*tau*r) from its own ``exp``."""
+    n_samples, n, _ = basis.mode_grid.shape
+    coeffs = np.fft.fft(basis.mode_grid, axis=0).reshape(n_samples, n * n) / n_samples
+    freqs = np.rint(np.fft.fftfreq(n_samples, d=1.0 / n_samples)).astype(int)
+    coarse, fine = np.divmod(freqs, 16)
+    coarse, coarse_index = np.unique(coarse, return_inverse=True)
+    split = np.zeros((coarse.size, 16, n * n), dtype=complex)
+    split[coarse_index, fine] = coeffs
+    wt = basis.omega * np.mod(np.asarray(times, dtype=float), basis.period)
+    partial = (np.exp(1j * np.outer(wt, 16 * coarse)) @ split.reshape(coarse.size, -1))
+    fine_phases = np.exp(1j * np.outer(wt, np.arange(16)))
+    return (fine_phases[:, None, :] @ partial.reshape(wt.size, 16, n * n)).reshape(wt.size, n, n)

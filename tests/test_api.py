@@ -73,7 +73,7 @@ def test_evolve_has_no_store_floquet():
 
 @pytest.mark.parametrize("cls, names", [
     (flime.FloquetBasis, {"omega", "quasienergies", "modes0", "grid_times", "mode_grid",
-                          "closure_defect", "_coarse_freqs", "_split_coeffs"}),
+                          "closure_defect", "_coarse_rows", "_split_coeffs"}),
     (flime.EvolutionResult, {"times", "states", "diagnostics"}),
     (flime.TimeUnit, {"scale"}),
 ])

@@ -9,6 +9,7 @@ from flime import (OdeTol, PeriodicHamiltonian, brillouin_fold, build_pulse_trai
                    unitarity_defect)
 from conftest import (random_single_harmonic_system, rk4_matrix_propagator,
                       rk4_matrix_samples)
+from oracles import split_modes_at_many
 
 
 def _eq29_system():
@@ -354,6 +355,26 @@ class TestModeGrid:
         table = np.exp(1j * omega * np.outer(np.mod(times, basis.period), freqs))
         direct = (table @ coeffs.reshape(n_samples, -1)).reshape(n_times, n, n)
         assert np.max(np.abs(basis.modes_at_many(times) - direct)) <= 1e-12
+        if n_samples == 1024:
+            # a physical basis, whose low harmonics carry the modes: the
+            # running products stay as close to every phase by its own exp
+            # as rounding allows
+            pulse = compute_basis(build_pulse_train(0.3, 1.0, n_harmonics=40), n_samples=1024)
+            ours = pulse.modes_at_many(times)
+            ref = split_modes_at_many(pulse, times)
+            assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_samples", [64, 1024])
+    def test_constant_grid_interpolates_exactly(self, rng, n_samples):
+        # the modes of an undriven system: only harmonic 0, whose coarse and
+        # fine phases are the exact 1 that starts each running product
+        const = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        basis = floquet.FloquetBasis(
+            omega=10.0, quasienergies=np.zeros(3), modes0=np.eye(3, dtype=complex),
+            grid_times=np.arange(n_samples) * (2 * np.pi / 10.0 / n_samples),
+            mode_grid=np.tile(const, (n_samples, 1, 1)))
+        times = rng.uniform(0.0, 60.0, 500)
+        np.testing.assert_array_equal(basis.modes_at_many(times), np.tile(const, (500, 1, 1)))
 
     def test_floquet_state_matrix(self):
         # columns are modes carrying the quasienergy phase, so W(t) equals

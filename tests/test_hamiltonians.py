@@ -53,21 +53,39 @@ class TestPeriodicHamiltonian:
     def test_matches_term_by_term_sum(self, rng):
         # repeated harmonics are aggregated once at construction, and a
         # harmonic-0 term adds to the static part; both the scalar path and
-        # the array path (negative harmonics' phases by conjugation) agree
-        h = build_pulse_train(0.3, 1.0, n_harmonics=40)
+        # the array path (phases as powers of exp(1j*omega*t), the negative
+        # harmonics' by conjugation) agree, on the pulse train, on it with
+        # extra terms and on a sparse harmonic set, up to 10^3 periods
+        pulse = build_pulse_train(0.3, 1.0, n_harmonics=40)
         extra = HarmonicTerm(0.2 * np.array([[0.0, 1.0], [0.0, 0.0]]), 3, 1.0 + 0.5j)
         constant = HarmonicTerm(np.array([[0.1, 0.05j], [-0.05j, -0.2]]), 0, 1.0)
-        h = PeriodicHamiltonian(h.omega, h.static_part,
+        drive = np.array([[0.3, 0.7 - 0.2j], [0.1j, -0.4]])
+        sparse = []
+        for k in (1, 7):
+            sparse += [HarmonicTerm(drive / k, k, 1.0), HarmonicTerm(drive.conj().T / k, -k, 1.0)]
+        systems = [
+            pulse,
+            PeriodicHamiltonian(pulse.omega, pulse.static_part,
                                 (constant, HarmonicTerm(extra.matrix.conj().T, -3, 1.0 - 0.5j),
-                                 *h.terms, extra))
-        times = rng.uniform(0, 3, 7)
-        values = h(times)
-        for t, value in zip(times, values):
-            loop = h.static_part.copy()
-            for term in h.terms:
-                loop += term.amplitude * np.exp(1j * term.harmonic * h.omega * t) * term.matrix
-            assert np.max(np.abs(h(t) - loop)) < 1e-13
-            assert np.max(np.abs(value - loop)) < 1e-13
+                                 *pulse.terms, extra)),
+            PeriodicHamiltonian(2.3, np.diag([0.5, -0.5]).astype(complex), tuple(sparse)),
+        ]
+        for h in systems:
+            times = np.concatenate((rng.uniform(0, 3, 7), rng.uniform(0, 1e3 * h.period, 7)))
+            values = h(times)
+            for t, value in zip(times, values):
+                loop = h.static_part.copy()
+                for term in h.terms:
+                    loop += term.amplitude * np.exp(1j * term.harmonic * h.omega * t) * term.matrix
+                bound = 1e-13
+                if t > 3:
+                    # each side rounds the phase argument k omega t, by
+                    # about |k omega t| ulps (measured: under a fifth of this)
+                    bound += 2 * np.finfo(float).eps * sum(
+                        abs(term.harmonic * h.omega * t * term.amplitude) * np.abs(term.matrix).max()
+                        for term in h.terms)
+                assert np.max(np.abs(h(t) - loop)) < bound
+                assert np.max(np.abs(value - loop)) < bound
 
     @pytest.mark.parametrize("n_samples", [8, 64, 1024])
     def test_on_grid_matches_pointwise_calls(self, rng, n_samples):

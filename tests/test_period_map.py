@@ -458,7 +458,7 @@ def test_max_step_reaches_the_integrator(monkeypatch):
             assert all(m <= cap * (1.0 + 1e-12) for _, m in recorded), name
 
 
-def _complex_closure(kind, n, cutoff):
+def _complex_closure(kind, n, cutoff, k_max=5):
     """A real-coordinate generator, its complex closure t -> A(t) on
     supervectors and the rate set (None for the lab frame): the rate matrix
     summed from the full harmonic stack (``oracles.full_harmonics``), or the
@@ -475,7 +475,7 @@ def _complex_closure(kind, n, cutoff):
 
         return lindblad_mod._lab_generator(spec), lab_closure, None
     basis = compute_basis(h)
-    rates = build_terms(basis, [channel], k_max=5, secular_cutoff=cutoff, coeff_floor=0.0)
+    rates = build_terms(basis, [channel], k_max=k_max, secular_cutoff=cutoff, coeff_floor=0.0)
     full, freqs = full_harmonics(rates)
 
     def closure(t):
@@ -509,8 +509,11 @@ def _half_store_oracle(harmonics, omega, gaps):
 @pytest.mark.parametrize("kind, cutoff", _GENERATOR_KINDS,
                          ids=["complete", "filtered", "static", "lab"])
 def test_generator_matrix_is_real_projection(kind, cutoff, n):
-    # one time, as the sequential side asks, and an array, as the slices do
-    gen, closure, rates = _complex_closure(kind, n, cutoff)
+    # one time, as the sequential side asks, and an array, as the slices do;
+    # at n = 2 and 4 the complete set keeps M = 40 harmonics
+    gen, closure, rates = _complex_closure(kind, n, cutoff, k_max=20 if n in (2, 4) else 5)
+    if kind == "rates" and np.isinf(cutoff) and n in (2, 4):
+        assert len(rates.harmonics) == 41
     u = hermitian_basis(n)
     times = np.random.default_rng(8).uniform(0.0, 3.0 * gen.period, (2, 2))
     projected = u.conj().T @ closure(times) @ u
@@ -520,11 +523,17 @@ def test_generator_matrix_is_real_projection(kind, cutoff, n):
     assert ours.dtype == np.float64 and ours.shape == projected.shape
     assert np.max(np.abs(ours - projected.real)) <= 1e-13
     half = None if rates is None else _half_store_oracle(rates.harmonics, rates.omega, rates.gaps)
+    scalar = []
     for t, ref in zip(times.ravel(), projected.real.reshape(-1, n * n, n * n)):
         one = gen.matrix(float(t))
         assert one.dtype == np.float64 and np.max(np.abs(one - ref)) <= 1e-13
         if half is not None:
             assert np.max(np.abs(one - half(t))) <= 1e-13
+        scalar.append(one)
+    # the array's harmonic phases are powers of exp(1j*omega*t), a scalar
+    # time's each its own exp
+    scalar = np.reshape(scalar, ours.shape)
+    assert np.max(np.abs(ours - scalar)) <= 1e-14 * np.max(np.abs(scalar))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -3,6 +3,7 @@ import pytest
 
 from flime import (check_density_matrix, expect, fold, pure_state_density,
                    sigma_minus, sigma_plus, sigma_x, sigma_z, trace_distance, unfold)
+from flime.qops import _powers
 from conftest import random_density, random_hermitian
 from oracles import sandwich_superop
 
@@ -137,3 +138,35 @@ class TestDensityValidation:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             pure_state_density([0.0, 0.0])
+
+
+class TestPowers:
+    def test_powers_stay_within_the_exp_tables_error(self):
+        # against extended-precision phases of the same double omega and t,
+        # at every power the running product is at most twice as far off as
+        # the exp table exp(1j * t * (m * omega)) it replaces
+        omega = 2.0 * np.pi / 0.7
+        times = np.concatenate((np.random.default_rng(5).uniform(0.0, 1e3 * 0.7, 200),
+                                np.random.default_rng(6).uniform(0.0, 0.7, 50)))
+        assert np.max(omega * times) > 0.99 * 2.0 * np.pi * 1e3
+        m = np.arange(65)
+        ours = _powers(1.0, np.exp(1j * omega * times), m.size)
+        table = np.exp(1j * np.multiply.outer(times, m * omega))
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is double here, so there is no extended reference")
+        arg = np.multiply.outer(times.astype(np.longdouble), m * np.longdouble(omega))
+        exact = np.exp(1j * arg.astype(np.clongdouble))
+        ours_err = np.abs(ours - exact).max(axis=0)
+        table_err = np.abs(table - exact).max(axis=0)
+        assert ours_err[0] == 0.0
+        assert np.all(ours_err <= 2.0 * table_err)
+
+    def test_powers_fill_a_view_in_place_from_an_array_start(self):
+        ratio = np.exp(1j * np.array([[0.3, -1.2], [2.0, 0.0]]))
+        out = np.zeros((2, 2, 7), dtype=complex)
+        result = _powers(ratio[..., None], ratio, 5, out=out[..., 1:6])
+        assert np.shares_memory(result, out)
+        expected = ratio[..., None] ** np.arange(1, 6)
+        assert np.max(np.abs(out[..., 1:6] - expected)) <= 1e-15
+        assert not out[..., 0].any() and not out[..., 6].any()
+        assert _powers(1.0, ratio, 0).shape == (2, 2, 0)
