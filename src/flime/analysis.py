@@ -74,9 +74,9 @@ class FlimePropagator:
     def start(self, rho0):
         return self.generator.start(np.asarray(rho0, dtype=complex))
 
-    def cycle(self, state, n, taus):
-        """Propagate over period ``n``; returns lab states at n*T + taus and
-        the internal state at (n+1)*T.  The maps do not depend on ``n``."""
+    def cycle(self, state, taus):
+        """Propagate ``state`` over one period, by maps every period shares:
+        the lab states at ``taus`` past its start and the state one period on."""
         taus = np.asarray(taus, dtype=float)
         if self._taus is None or not np.array_equal(taus, self._taus):
             n2 = self.generator.dim ** 2
@@ -138,7 +138,7 @@ def evolve_to_ness(propagator, rho0, observable, conv_tol=1e-8,
     profile = None
     n = 0
     for n in range(max_periods):
-        states, state = propagator.cycle(state, n, taus)
+        states, state = propagator.cycle(state, taus)
         profile = np.einsum("ij,tji->t", observable, states).real
         if prev_profile is not None:
             residual = float(np.max(np.abs(profile - prev_profile)))

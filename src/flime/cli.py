@@ -103,6 +103,20 @@ def _check_numbers(section, where, positive=(), integers=()):
             raise ConfigError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
 
 
+def _check_list(value, where, integers=False):
+    """Reject a value that is not a non-empty list of integers >= 1, for
+    ``integers``, or else of finite, nonnegative, strictly increasing numbers."""
+    if integers:
+        good = isinstance(value, list) and all(_is_integer(x) and x >= 1 for x in value)
+        rule = "integers >= 1"
+    else:
+        good = (isinstance(value, list) and all(_is_real(x) and x >= 0 for x in value)
+                and all(a < b for a, b in zip(value, value[1:])))
+        rule = "finite, nonnegative, strictly increasing numbers"
+    if not (good and value):
+        raise ConfigError(f"{where} must be a non-empty list of {rule}, got {value!r}")
+
+
 def _number(value, unit, where):
     """A config number, optionally tagged: {"value": x, "unit": "GHz"}."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -236,6 +250,8 @@ class RunConfig:
         evo = raw.get("evolution", {})
         _check_keys(evo, {"times", "n_periods", "samples_per_period"}, "evolution")
         _check_numbers(evo, "evolution", integers=(("n_periods", 1), ("samples_per_period", 1)))
+        if "times" in evo:
+            _check_list(evo["times"], "evolution.times")
         self.evolution = evo
 
         self.initial_state = raw.get("initial_state", "ground")
@@ -261,6 +277,9 @@ class RunConfig:
 
         bench = raw.get("bench", {})
         _check_keys(bench, {"periods", "repeats", "samples_total"}, "bench")
+        _check_numbers(bench, "bench", integers=(("repeats", 3), ("samples_total", 1)))
+        if "periods" in bench:
+            _check_list(bench["periods"], "bench.periods", integers=True)
         self.bench = bench
 
     def hamiltonian(self, rotating_frame=False):
@@ -353,6 +372,18 @@ def _rate_system(config, hamiltonian):
                               secular_cutoff=config.secular_cutoff)
 
 
+def _ness_system(config, hamiltonian):
+    """The propagator of a steady-state run, the system it propagates (as
+    :func:`~flime.analysis.correlation_g1` takes it) and the run's first
+    metadata: the Floquet basis's for the rate-matrix solver."""
+    if config.solver == "flime":
+        basis, rates = _rate_system(config, hamiltonian)
+        return (FlimePropagator(rates, basis, tol=config.tol), (rates, basis),
+                {"basis": _basis_metadata(basis)})
+    spec = LiouvillianSpec(hamiltonian, config.channels())
+    return ReferencePropagator(spec, tol=config.tol), spec, {}
+
+
 def _run_flime(config, hamiltonian, times):
     setup_start = time.perf_counter()
     basis, rates = _rate_system(config, hamiltonian)
@@ -404,26 +435,18 @@ def cmd_ness(config, outdir):
         raise ConfigError("ness requires solver 'flime' or 'reference'")
     hamiltonian = config.hamiltonian()
     observable_name = config.ness.get("observable", "excited_population")
-    if observable_name not in ("excited_population", "ground_population",
-                               "sigma_x", "sigma_y", "sigma_z"):
-        raise ConfigError(f"unsupported ness observable {observable_name!r}")
-    obs_matrix = {
+    obs_matrices = {
         "excited_population": np.diag([0.0, 1.0]).astype(complex),
         "ground_population": np.diag([1.0, 0.0]).astype(complex),
         "sigma_x": np.asarray(sigma_x), "sigma_y": np.asarray(sigma_y),
         "sigma_z": np.asarray(sigma_z),
-    }[observable_name]
+    }
+    if observable_name not in obs_matrices:
+        raise ConfigError(f"unsupported ness observable {observable_name!r}")
 
-    meta = {}
-    if config.solver == "flime":
-        basis, rates = _rate_system(config, hamiltonian)
-        propagator = FlimePropagator(rates, basis, tol=config.tol)
-        meta["basis"] = _basis_metadata(basis)
-    else:
-        propagator = ReferencePropagator(LiouvillianSpec(hamiltonian, config.channels()),
-                                         tol=config.tol)
+    propagator, _, meta = _ness_system(config, hamiltonian)
     ness = evolve_to_ness(
-        propagator, config.rho0(), obs_matrix,
+        propagator, config.rho0(), obs_matrices[observable_name],
         conv_tol=float(config.ness.get("conv_tol", 1e-8)),
         max_periods=int(config.ness.get("max_periods", 10000)),
         samples_per_period=int(config.ness.get("samples_per_period", 32)))
@@ -453,7 +476,6 @@ def cmd_spectrum(config, outdir):
     # already expressed in its mean-laser frame.
     rotating = config.system_kind == "driven_2ls_rwa"
     hamiltonian = config.hamiltonian(rotating_frame=rotating)
-    spec = LiouvillianSpec(hamiltonian, config.channels())
 
     gamma = sum(rate for _, rate in config.channel_specs) or 1.0
     tau_max = float(config.spectrum.get("tau_max", 60.0 / gamma))
@@ -461,16 +483,7 @@ def cmd_spectrum(config, outdir):
     window = config.spectrum.get("window", "hann")
     taus = np.linspace(0.0, tau_max, n_tau)
 
-    meta = {}
-    if config.solver == "flime":
-        basis, rates = _rate_system(config, hamiltonian)
-        propagator = FlimePropagator(rates, basis, tol=config.tol)
-        system = (rates, basis)
-        meta["basis"] = _basis_metadata(basis)
-    else:
-        propagator = ReferencePropagator(spec, tol=config.tol)
-        system = spec
-
+    propagator, system, meta = _ness_system(config, hamiltonian)
     ness = evolve_to_ness(propagator, config.rho0(),
                           np.diag([0.0, 1.0]).astype(complex),
                           conv_tol=float(config.ness.get("conv_tol", 1e-9)),
@@ -509,8 +522,6 @@ def cmd_bench(config, outdir):
     hamiltonian = config.hamiltonian()
     periods = config.bench.get("periods", [10, 100, 1000, 10000])
     repeats = int(config.bench.get("repeats", 3))
-    if repeats < 3:
-        raise ConfigError("bench.repeats must be at least 3")
     samples_total = int(config.bench.get("samples_total", 100))
     period = hamiltonian.period
 

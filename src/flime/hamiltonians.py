@@ -104,15 +104,18 @@ class PeriodicHamiltonian:
     Construction enforces Hermiticity of H(t) at every time: the harmonic
     content at ``+k`` must be the conjugate transpose of the content at
     ``-k`` (within 1e-12, relative to the largest coefficient).
+
+    The series is stored once, as the half-store ``harmonics`` of shape
+    (K + 1, n, n), K the largest harmonic: row 0 is the frequency-zero part
+    (static plus any harmonic-0 terms) and row k the summed coefficient H_k
+    of exp(1j*k*omega*t), zero where absent.  The coefficient of
+    exp(-1j*k*omega*t) is ``harmonics[k]`` conjugate-transposed.
     """
 
     omega: float
     static_part: np.ndarray
     terms: tuple = ()
-    _harmonics: dict = field(init=False, repr=False, compare=False)
-    _harmonic_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    _freqs: np.ndarray = field(init=False, repr=False, compare=False)
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    harmonics: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= 0.0:
@@ -127,39 +130,27 @@ class PeriodicHamiltonian:
         for term in self.terms:
             if term.matrix.shape != (n, n):
                 raise ValueError("all harmonic terms must share the static part's dimension")
-        # The terms of each harmonic are summed in term order into one stack
-        # row; ids are the distinct harmonics, sorted.
-        ids, first, row = np.unique(np.array([term.harmonic for term in self.terms], dtype=int),
-                                    return_index=True, return_inverse=True)
-        amplitudes = np.array([term.amplitude for term in self.terms], dtype=complex)
-        matrices = np.array([term.matrix for term in self.terms], dtype=complex).reshape(-1, n, n)
-        stack = np.zeros((ids.size, n, n), dtype=complex)
-        np.add.at(stack, row, amplitudes[:, None, None] * matrices)
-        scale = max(1.0, np.abs(static).max(initial=0.0), np.abs(stack).max(initial=0.0))
+        # The terms of each harmonic are summed in term order into row k + K
+        # of a signed table of harmonics -K ... K, whose flipped conjugate
+        # transpose is the table again when H(t) is Hermitian; a missing
+        # partner is a defect against a zero row.
+        ks = np.array([term.harmonic for term in self.terms], dtype=int)
+        top = int(np.abs(ks).max(initial=0))
+        signed = np.zeros((2 * top + 1, n, n), dtype=complex)
+        np.add.at(signed, ks + top, np.array([term.amplitude * term.matrix for term in self.terms],
+                                             dtype=complex).reshape(-1, n, n))
+        scale = max(1.0, np.abs(static).max(initial=0.0), np.abs(signed).max(initial=0.0))
         tol = _HERM_TOL * scale
         if hermiticity_defect(static) > tol:
             raise ValueError("static part is not Hermitian")
-        partner = np.minimum(np.searchsorted(ids, -ids), ids.size - 1)
-        defect = np.abs(stack.conj().transpose(0, 2, 1) - stack[partner]).max(
-            axis=(1, 2), initial=0.0)
-        bad = (ids[partner] != -ids) | (defect > tol)
+        defect = np.abs(signed - signed[::-1].conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = defect[ks + top] > tol
         if bad.any():
-            k = int(ids[bad][np.argmin(first[bad])])
+            k = int(ks[np.argmax(bad)])
             raise ValueError(
                 f"harmonic {k} lacks a conjugate-transpose partner at {-k}; H(t) would not be Hermitian")
-        object.__setattr__(self, "_harmonics", dict(zip(ids.tolist(), stack)))
-        # H(t) = exp(1j * t * freqs) . stack, so one product per call.  Row 0
-        # is the frequency-zero part (static plus any harmonic 0), then every
-        # harmonic 1 ... K, zero where absent, then the partners -1 ... -K,
-        # whose phases are the conjugates of the positive ones.
-        k = int(ids.max(initial=0))
-        harmonic_ids = np.concatenate((np.arange(k + 1), -np.arange(1, k + 1)))
-        rows = np.zeros((2 * k + 1, n, n), dtype=complex)
-        rows[np.where(ids >= 0, ids, k - ids)] = stack
-        rows[0] += static
-        object.__setattr__(self, "_harmonic_ids", harmonic_ids)
-        object.__setattr__(self, "_freqs", self.omega * harmonic_ids.astype(float))
-        object.__setattr__(self, "_stack", rows.reshape(-1, n * n))
+        signed[top] += static
+        object.__setattr__(self, "harmonics", signed[top:].copy())
 
     @property
     def dim(self):
@@ -173,45 +164,41 @@ class PeriodicHamiltonian:
         """Evaluate H(t): shape (n, n) for a scalar ``t``, (*t.shape, n, n)
         for an array of times.
 
-        One table of the harmonic phases times the harmonic stack, formed
-        on the flattened times, so an array of times of any shape costs one
-        product, not one call per time.  The phases of harmonics 0 ... K
-        are the powers of exp(1j*omega*t), a running product
-        (:func:`~flime.qops._powers`) with one ``exp`` per time, and each
-        negative partner's phase is their conjugate.  This is the pointwise
-        path, which :func:`~flime.floquet.monodromy` uses on arrays of
-        times; :meth:`on_grid` is the FFT path of the mode grid, with its
-        own ``exp`` of each harmonic's phase.  The direct solver does not
-        call it: it stores the harmonics once.
+        H(t) = B + B^dag with B = H_0 / 2 + sum_{k >= 1} H_k exp(1j*k*omega*t),
+        so the result is exactly Hermitian.  B is one product of a table of
+        the phases of harmonics 0 ... K with ``harmonics``, formed on the
+        flattened times, so an array of times of any shape costs one
+        product, not one call per time.  The phases are the powers of
+        exp(1j*omega*t), a running product (:func:`~flime.qops._powers`)
+        with one ``exp`` per time.  This is the pointwise path, which
+        :func:`~flime.floquet.monodromy` uses on arrays of times;
+        :meth:`on_grid` is the FFT path of the mode grid, with its own
+        ``exp`` of each harmonic's phase.  The direct solver does not call
+        it: it reads ``harmonics``.
         """
-        n = self.dim
+        size, n, _ = self.harmonics.shape
         t = np.asarray(t, dtype=float)
-        k = self._freqs.size // 2
-        phases = np.empty((t.size, 2 * k + 1), dtype=complex)
-        _powers(1.0, np.exp(1j * self.omega * t.ravel()), k + 1, out=phases[:, :k + 1])
-        np.conjugate(phases[:, 1:k + 1], out=phases[:, k + 1:])
-        return np.dot(phases, self._stack).reshape(*t.shape, n, n)
+        phases = _powers(1.0, np.exp(1j * self.omega * t.ravel()), size)
+        phases[:, 0] = 0.5
+        half = np.dot(phases, self.harmonics.reshape(size, n * n)).reshape(*t.shape, n, n)
+        return half + half.conj().swapaxes(-1, -2)
 
     def on_grid(self, n_samples, shift=0.0):
         """H(t_j + shift) at t_j = j T / n_samples, j < n_samples, shape (n_samples, n, n).
 
-        One inverse FFT of the harmonic table: H_k exp(1j k omega shift) goes
-        to bin k mod n_samples, where e^{2 pi i k j / n_samples} is the phase
-        of t_j.  Harmonics with |k| >= n_samples / 2 share a bin with lower
-        ones and add there, so the values are exact for any n_samples.
+        One inverse FFT of the harmonic table, where e^{2 pi i k j / n_samples}
+        is the phase of t_j: H_k exp(1j k omega shift) goes to bin k mod
+        n_samples and its conjugate transpose, the harmonic -k, to bin -k mod
+        n_samples, both before the FFT.  Harmonics with |k| >= n_samples / 2
+        share a bin with lower ones and add there, so the values are exact for
+        any n_samples.
         """
-        bins = np.zeros((n_samples, self._stack.shape[1]), dtype=complex)
-        np.add.at(bins, self._harmonic_ids % n_samples,
-                  np.exp(1j * shift * self._freqs)[:, None] * self._stack)
-        values = np.fft.ifft(bins, axis=0, norm="forward")
-        return values.reshape(n_samples, self.dim, self.dim)
-
-    def harmonic_matrix(self, k):
-        """Aggregated coefficient matrix of exp(1j*k*omega*t), zero if absent."""
-        agg = self._harmonics.get(int(k))
-        if agg is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return agg.copy()
+        size, n, _ = self.harmonics.shape
+        rows = np.exp(1j * shift * self.omega * np.arange(size))[:, None, None] * self.harmonics
+        bins = np.zeros((n_samples, n, n), dtype=complex)
+        np.add.at(bins, np.arange(1 - size, size) % n_samples,
+                  np.concatenate((rows[:0:-1].conj().swapaxes(-1, -2), rows)))
+        return np.fft.ifft(bins, axis=0, norm="forward")
 
 
 def build_driven_2ls_rwa(omega0, omega, rabi):

@@ -10,10 +10,11 @@ rotated frame.  Both generators run through the same one-period map
 (``solver._propagate``) with the same adaptive integrator: one period is
 integrated and whole periods are jumped, so timing comparisons between the
 two solvers measure the formulation, not the period jump.  Like the rate
-matrix, the generator is stored once as a half-store of its harmonics and
-evaluated by the same closure (``solver._harmonic_matrix``), in real
-coordinates and at an array of times, so small systems step slices of the
-period side by side.
+matrix, the generator is stored once as a half-store of its harmonics
+0 ... K, built from the Hamiltonian's own half-store
+(``PeriodicHamiltonian.harmonics``), and evaluated by the same closure
+(``solver._harmonic_matrix``), in real coordinates and at an array of
+times, so small systems step slices of the period side by side.
 """
 
 from dataclasses import dataclass
@@ -55,17 +56,16 @@ def _lab_generator(spec):
     lab-frame states.
 
     It is stored once, as the rate matrix is, as a half-store of harmonics
-    (see ``solver._harmonic_matrix``): L_0 = -1j [H_0, .] plus the
-    dissipators and L_k = -1j [H_k, .] for k >= 1, n^2 x n^2 superoperators
-    in column stacking.  H_{-k} = H_k^dag makes L_{-k} the mirror of L_k.
-    Without harmonics the generator is constant.
+    (see ``solver._harmonic_matrix``) read off the Hamiltonian's own
+    half-store ``harmonics``: L_0 = -1j [H_0, .] plus the dissipators and
+    L_k = -1j [H_k, .] for k = 1 ... K, n^2 x n^2 superoperators in column
+    stacking.  H_{-k} = H_k^dag makes L_{-k} the mirror of L_k.  Without
+    harmonics the generator is constant.
     """
     n = spec.dim
     hamiltonian = spec.hamiltonian
-    top = max((abs(term.harmonic) for term in hamiltonian.terms), default=0)
-    coherent = np.array([hamiltonian.harmonic_matrix(k) for k in range(top + 1)])
-    coherent[0] += hamiltonian.static_part
-    harmonics = np.zeros((top + 1, n * n, n * n), dtype=complex)
+    coherent = hamiltonian.harmonics
+    harmonics = np.zeros((coherent.shape[0], n * n, n * n), dtype=complex)
     for ch in spec.channels:
         s = ch.operator
         sds = -0.5 * ch.rate * (s.conj().T @ s)
@@ -73,7 +73,7 @@ def _lab_generator(spec):
         _add_sides(harmonics[:1], sds[None], sds[None])
     _add_sides(harmonics, -1j * coherent, 1j * coherent)
     gaps = np.zeros(n * n)
-    return _Generator(matrix=_harmonic_matrix(harmonics, hamiltonian.omega, gaps, top == 0),
+    return _Generator(matrix=_harmonic_matrix(harmonics, hamiltonian.omega, gaps, len(coherent) == 1),
                       dim=n, gaps=gaps, period=hamiltonian.period, max_step=np.inf,
                       start=lambda rho: _start_coordinates(unfold(rho), rho),
                       to_lab=lambda phases, index, rho: rho.transpose(0, 2, 1, 3))

@@ -52,8 +52,8 @@ class _RecordingPropagator:
     def start(self, rho0):
         return self.inner.start(rho0)
 
-    def cycle(self, state, n, taus):
-        states, out = self.inner.cycle(state, n, taus)
+    def cycle(self, state, taus):
+        states, out = self.inner.cycle(state, taus)
         traces = np.einsum("tii->t", states)
         self.max_trace_defect = max(self.max_trace_defect,
                                     float(np.max(np.abs(traces - 1.0))))

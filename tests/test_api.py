@@ -57,6 +57,7 @@ def test_all_is_the_public_set_and_resolves():
     (qops, "sandwich_superop"),
     (solver.EvolutionResult, "floquet_states"),
     (hamiltonians.TimeUnit, "label"),
+    (hamiltonians.PeriodicHamiltonian, "harmonic_matrix"),
 ])
 def test_removed_names_stay_gone(owner, name):
     # a dataclass field without a default is no class attribute

@@ -11,7 +11,7 @@ _SPEC.loader.exec_module(callbench)
 CALLS = [f"at {label} {count}" for label in ("bichromatic", "random n=4", "random n=8")
          for count in ("scalar", 16, 64, 512)]
 CALLS += ["modes_at_many 1", "modes_at_many 17", "modes_at_many 2048",
-          "H 2ls 24", "H pulse train 24"]
+          "H 2ls 24", "H pulse train 24", "H sparse 24", "on_grid pulse train 1024"]
 
 
 def test_times_every_listed_call_once(capsys):

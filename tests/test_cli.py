@@ -184,6 +184,28 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "evolve_flime.csv").exists()
 
+    @pytest.mark.parametrize("command, item, key", [
+        ("evolve", "evolution.times=[0,2,1]", "evolution.times"),
+        ("evolve", 'evolution.times=["a"]', "evolution.times"),
+        ("evolve", "evolution.times=5", "evolution.times"),
+        ("evolve", "evolution.times=[]", "evolution.times"),
+        ("evolve", "evolution.times=[-1,0]", "evolution.times"),
+        ("evolve", "evolution.times=[0,NaN]", "evolution.times"),
+        ("bench", "bench.periods=5", "bench.periods"),
+        ("bench", "bench.periods=[0]", "bench.periods"),
+        ("bench", "bench.periods=[-5]", "bench.periods"),
+        ("bench", "bench.periods=[2.5]", "bench.periods"),
+        ("bench", "bench.periods=[]", "bench.periods"),
+        ("bench", "bench.repeats=3.7", "bench.repeats"),
+        ("bench", "bench.samples_total=0", "bench.samples_total"),
+    ])
+    def test_bad_list_rejected(self, tmp_path, capsys, command, item, key):
+        # rejected before any work: no basis is built and no CSV written
+        cfg = _write_config(tmp_path, _base_config())
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--set", item]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("path, value, key", [
         (("tolerances", "atol"), 0, "tolerances.atol"),
         (("tolerances", "rtol"), "tight", "tolerances.rtol"),

@@ -42,6 +42,26 @@ class TestUnits:
             TimeUnit(scale=0.0)
 
 
+def _hamiltonian(system):
+    """A 2 x 2 Hamiltonian: the 40-harmonic pulse train, the strong-drive
+    2LS, the bichromatic system, a sparse set of harmonics +-1 and +-7, or
+    the 2LS with a harmonic-0 term."""
+    if system == "pulse-train":
+        return build_pulse_train(0.3, 1.0, n_harmonics=40)
+    if system == "bichromatic":
+        return build_bichromatic(10.0, -20.0, 20.0, 6.0)
+    strong = build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)
+    if system == "strong-2ls":
+        return strong
+    if system == "harmonic-0":
+        return PeriodicHamiltonian(strong.omega, strong.static_part, strong.terms + (
+            HarmonicTerm(np.array([[0.1, 0.05j], [-0.05j, -0.2]]), 0, 1.0),))
+    drive = np.array([[0.3, 0.7 - 0.2j], [0.1j, -0.4]])
+    return PeriodicHamiltonian(2.3, np.diag([0.5, -0.5]).astype(complex), tuple(
+        HarmonicTerm(m / k, s * k, 1.0) for k in (1, 7)
+        for m, s in ((drive, 1), (drive.conj().T, -1))))
+
+
 class TestPeriodicHamiltonian:
     def test_drive_free_returns_static(self, rng):
         static = np.diag([-1.0, 1.0]).astype(complex)
@@ -97,17 +117,18 @@ class TestPeriodicHamiltonian:
             pointwise = np.array([h(t + shift) for t in grid])
             assert np.max(np.abs(h.on_grid(n_samples, shift) - pointwise)) < 1e-13
 
-    @pytest.mark.parametrize("system", ["pulse-train", "strong-2ls"])
+    @pytest.mark.parametrize("system", ["pulse-train", "strong-2ls", "bichromatic", "sparse",
+                                        "harmonic-0"])
     def test_array_of_times_matches_scalar_calls(self, rng, system):
-        if system == "pulse-train":
-            h = build_pulse_train(0.3, 1.0, n_harmonics=40)
-        else:
-            h = build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)
+        # H(t) = B + B^dag is exactly Hermitian on both paths
+        h = _hamiltonian(system)
         times = rng.uniform(0, 3 * h.period, (4, 6))
         values = h(times)
         assert values.shape == (4, 6, 2, 2)
         loop = np.array([[h(float(t)) for t in row] for row in times])
         assert np.max(np.abs(values - loop)) < 1e-14
+        assert hermiticity_defect(values) == 0.0
+        assert all(hermiticity_defect(h(float(t))) == 0.0 for t in times.ravel())
         # every scalar kind returns one matrix
         for t in (0.3, np.float64(0.3), 1, np.array(0.3)):
             assert h(t).shape == (2, 2)
@@ -195,8 +216,8 @@ class TestBichromatic:
         rabi1, rabi2 = 0.5 + 0.2j, 0.3 - 0.1j
         h = build_bichromatic(0.8, 2.0, rabi1, rabi2)
         assert h.omega == pytest.approx(1.0)
-        plus = h.harmonic_matrix(+1)
-        minus = h.harmonic_matrix(-1)
+        plus = h.harmonics[1]
+        minus = plus.conj().T
         assert np.allclose(plus, -0.5 * np.array([[0, rabi2], [np.conj(rabi1), 0]]))
         assert np.allclose(minus, -0.5 * np.array([[0, rabi1], [np.conj(rabi2), 0]]))
         assert np.allclose(h.static_part, 0.4 * np.diag([-1, 1]))
@@ -214,7 +235,7 @@ class TestBichromatic:
         h = build_bichromatic(0.0, 2.0, 0.6, 0.0)
         for t in rng.uniform(0, 10, 7):
             assert hermiticity_defect(h(t)) < 1e-12
-        assert np.allclose(h.harmonic_matrix(+1)[0, 1], 0.0)
+        assert np.allclose(h.harmonics[1][0, 1], 0.0)
 
     def test_zero_beat_rejected(self):
         with pytest.raises(ValueError, match="beat"):
@@ -245,7 +266,7 @@ class TestPulseTrain:
         comb *= area  # rotation angle normalization
         for k in range(0, 13):
             ck_oracle = np.trapezoid(comb * np.exp(-1j * k * omega * ts), ts) / period
-            drive_ck = 2.0 * h.harmonic_matrix(k)[0, 1] if k else 2.0 * (h.static_part[0, 1])
+            drive_ck = 2.0 * h.harmonics[k][0, 1]
             assert abs(drive_ck - ck_oracle) < 1e-10
 
     def test_pulse_area_is_pi(self):
@@ -268,8 +289,9 @@ class TestPulseTrain:
     def test_defaults(self):
         h = build_pulse_train(0.0, 0.2)
         # sigma defaults to period/16 and 40 harmonics on each side
-        ks = sorted(k for k in range(-45, 46) if np.any(h.harmonic_matrix(k)))
+        ks = sorted(term.harmonic for term in h.terms if np.any(term.matrix))
         assert ks == [k for k in range(-40, 41) if k != 0]
+        assert len(h.harmonics) == 41 and all(np.any(row) for row in h.harmonics)
 
     def test_lifetime_scaled_configuration(self):
         # period = lifetime/20 gives 20 pulses per lifetime

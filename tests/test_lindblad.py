@@ -25,7 +25,7 @@ def _lab_spec(rng, system):
     n = system if isinstance(system, int) else 3
     h, channel = random_single_harmonic_system(rng, n)
     if system == "harmonics_3":
-        drive = h.harmonic_matrix(1)
+        drive = h.harmonics[1]
         h = PeriodicHamiltonian(h.omega, h.static_part, (
             HarmonicTerm(drive, +3, 1.0), HarmonicTerm(drive.conj().T, -3, 1.0)))
     elif system == "harmonic_0":

@@ -135,7 +135,7 @@ def test_propagator_cycle_matches_evolve(system):
     state = prop.start(rho0)
     cycles = {}
     for n in range(38):
-        cycles[n], state = prop.cycle(state, n, taus)
+        cycles[n], state = prop.cycle(state, taus)
     checked = (0, 1, 37)
     times = np.concatenate([n * h.period + taus for n in checked])
     ref = evolve(rates, basis, rho0, times, tol=TOL).states.reshape(len(checked), taus.size, *rho0.shape)
@@ -389,7 +389,7 @@ def test_reference_cycle_matches_full_span_stepping(name, n_taus):
     state = prop.start(rho0)
     cycles = {}
     for n in range(13):
-        cycles[n], state = prop.cycle(state, n, taus)
+        cycles[n], state = prop.cycle(state, taus)
     checked = (0, 1, 12)
     times = np.concatenate([n * period + taus for n in checked])
     ref = direct_full_span(spec, rho0, times, ORACLE_TOL).reshape(len(checked), n_taus, *rho0.shape)
@@ -441,7 +441,7 @@ def test_max_step_reaches_the_integrator(monkeypatch):
                                                     tol=tol)),
         "evolve_direct": (period, lambda: evolve_direct(spec, rho0, taus, tol=tol)),
         "reference cycle": (period, lambda: ReferencePropagator(spec, tol).cycle(
-            ReferencePropagator(spec, tol).start(rho0), 0, taus[:4])),
+            ReferencePropagator(spec, tol).start(rho0), taus[:4])),
         # n = 5 steps the period sequentially
         "evolve_direct n=5": (h5.period, lambda: evolve_direct(
             spec5, random_density(rng, 5), taus, tol=tol)),

@@ -9,7 +9,10 @@ rounds, in µs per call:
   (complete sets, k_max 10);
 - ``FloquetBasis.modes_at_many`` for 1, 17 and 2 048 times, on a pulse train
   (40 harmonics) with 1 024 grid samples;
-- H(t) for 24 times, on the strong-drive 2LS and on that pulse train.
+- H(t) for 24 times, on the strong-drive 2LS, on that pulse train and on a
+  sparse set of harmonics +-1 and +-7;
+- ``PeriodicHamiltonian.on_grid`` with 1 024 samples and a random shift on
+  that pulse train, the H path of the mode grid.
 
 The systems are built from the public API.  Each side runs in its own
 Python process with BLAS on one thread.  Run from the repository root::
@@ -65,8 +68,9 @@ def calls():
     """Name -> list of zero-argument callables that make the same call, for
     every listed call."""
     import numpy as np
-    from flime import (CollapseChannel, build_bichromatic, build_driven_2ls_full,
-                       build_pulse_train, build_terms, compute_basis, sigma_minus)
+    from flime import (CollapseChannel, HarmonicTerm, PeriodicHamiltonian, build_bichromatic,
+                       build_driven_2ls_full, build_pulse_train, build_terms, compute_basis,
+                       sigma_minus)
     from flime.solver import _rate_matrix
 
     rng = np.random.default_rng(1)
@@ -91,10 +95,16 @@ def calls():
     for count in (1, 17, 2048):
         times = rng.uniform(0.0, 3.0 * pulse.period, count)
         out[f"modes_at_many {count}"] = [lambda times=times: basis.modes_at_many(times)]
+    drive = np.array([[0.3, 0.7 - 0.2j], [0.1j, -0.4]])
+    sparse = PeriodicHamiltonian(2.3, np.diag([0.5, -0.5]).astype(complex), tuple(
+        HarmonicTerm(m / k, s * k, 1.0) for k in (1, 7)
+        for m, s in ((drive, 1), (drive.conj().T, -1))))
     for label, h in (("2ls", build_driven_2ls_full(2 * np.pi, 2 * np.pi, np.pi, np.pi)),
-                     ("pulse train", pulse)):
+                     ("pulse train", pulse), ("sparse", sparse)):
         times = rng.uniform(0.0, h.period, 24)
         out[f"H {label} 24"] = [lambda h=h, times=times: h(times)]
+    shift = float(rng.uniform(0.0, pulse.period / 1024))
+    out["on_grid pulse train 1024"] = [lambda: pulse.on_grid(1024, shift)]
     return out
 
 
